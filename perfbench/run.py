@@ -31,6 +31,7 @@ import sys
 import threading
 import time
 
+import hostspeed
 import workloads
 from reference import Reference
 
@@ -61,8 +62,13 @@ def child_env() -> dict:
     return env
 
 
-def run_worker(spec_path, out_path, mode, seconds, inject_fault=False) -> float:
-    """Run one worker to completion; returns its set-up time in seconds."""
+def run_worker(spec_path, out_path, mode, seconds, inject_fault=False) -> tuple:
+    """Run one worker to completion.
+
+    Returns its set-up time in seconds, without the time the worker spent
+    in hostspeed kernel runs, and the host's mean slowness over its set-up,
+    both as the worker reports them on its READY line.
+    """
     cmd = [
         sys.executable, os.path.join(HERE, "worker.py"),
         "--spec", spec_path, "--src", SRC, "--out", out_path,
@@ -82,9 +88,10 @@ def run_worker(spec_path, out_path, mode, seconds, inject_fault=False) -> float:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-    if line.strip() != "READY" or rc != 0:
+    fields = line.split()
+    if len(fields) != 3 or fields[0] != "READY" or rc != 0:
         raise BenchError(f"worker ({mode}) exited with code {rc} before finishing")
-    return setup
+    return setup - float(fields[2]), float(fields[1])
 
 
 def time_interpreter(args) -> tuple:
@@ -188,7 +195,7 @@ def check_outputs(spec, result) -> tuple:
             # e.g. a float where an exact value was due: a wrong output
             verdicts[key] = f"output of the wrong shape or type: {exc}"
     reasons = []
-    for pass_no, index, _, error, digest in result["records"]:
+    for pass_no, index, _, error, digest, _ in result["records"]:
         reason = error or verdicts[f"{index}:{digest}"]
         if reason:
             reasons.append(f"pass {pass_no} op {index} ({spec['ops'][index]['kind']}): {reason}")
@@ -196,17 +203,18 @@ def check_outputs(spec, result) -> tuple:
 
 
 def end_to_end(result, setups, attempted, failed) -> tuple:
-    # An operation's latency is the fastest of its passes.  On a shared host
-    # the same call runs up to twice as slow in bursts that come and go; the
-    # fastest pass is the one least disturbed by other tenants.
-    best = {}
-    for _, index, latency, _, _ in result["records"]:
-        best[index] = min(latency, best.get(index, math.inf))
-    latencies = sorted(best.values())
+    # Every time is taken at reference speed (see hostspeed.py): other
+    # tenants slow this host down by up to a factor of two for seconds at a
+    # time, which the probe timed beside each measurement cancels.  An
+    # operation's latency is the median over its passes.
+    samples = {}
+    for _, index, latency, _, _, slowness in result["records"]:
+        samples.setdefault(index, []).append(latency / slowness)
+    latencies = sorted(statistics.median(v) for v in samples.values())
     n = len(latencies)
     rank = math.ceil(0.9 * n)  # p90 = the rank-th smallest; n - rank samples lie beyond it
     values = {
-        "setup_s": statistics.median(setups),
+        "setup_s": statistics.median(s / k for s, k in setups),
         "ops_per_s": n / sum(latencies),
         "op_p50_ms": statistics.median(latencies) * 1e3,
         "op_p90_ms": latencies[rank - 1] * 1e3,
@@ -217,7 +225,9 @@ def end_to_end(result, setups, attempted, failed) -> tuple:
         "samples": n,
         "beyond_p90": n - rank,
         "passes": result["passes"],
-        "setup_samples_s": setups,
+        "setup_samples_s": [s for s, _ in setups],
+        "setup_slowness": [k for _, k in setups],
+        "slowness_median": statistics.median(r[5] for r in result["records"]),
         "failed_ops_frac": failed / attempted,
     }
     return values, notes
@@ -248,6 +258,9 @@ def main(argv=None) -> int:
         json.dump(spec, fh)
     stamp = env_stamp(args, spec)
 
+    # One CPU for this process and every interpreter it starts, so that the
+    # hostspeed probes run where the measured work runs.
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     try:
         if args.trace:
             run_worker(spec_path, out_path, "trace", args.seconds, args.inject_fault)
@@ -285,6 +298,9 @@ def main(argv=None) -> int:
         if name == "op_p90_ms":
             extra = f"  ({notes['samples']} samples, {notes['beyond_p90']} beyond)"
         print(f"  {name:<48} {metric['value']:>14.6g} {metric['unit']}{extra}")
+    if not args.trace:
+        print(f"  times at reference speed; the host ran {notes['slowness_median']:.3f} times as slow "
+              f"(median over the operations)")
     print("stamp " + json.dumps(stamp, sort_keys=True))
     print(json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed, "metrics": metrics}))
     return 0

@@ -4,8 +4,9 @@
                                --mode setup|run|trace --seconds S [--inject-fault]
 
 The worker imports the package from SRC, prepares the workload's inputs,
-warms every layer up once at a tiny size, and prints READY: the parent
-times set-up from process start to that line.  ``setup`` mode stops
+warms every layer up once at a tiny size, and prints READY with the host's
+mean slowness over its set-up and the seconds its hostspeed kernel runs
+took: the parent times set-up from process start to that line.  ``setup`` mode stops
 there.  ``run`` mode then issues the operations one after another, in
 passes over the list (see ``Recorder.run_until``), for ``--seconds``.
 ``trace`` mode makes one untraced and one traced pass and then runs the
@@ -36,12 +37,17 @@ import sys
 import time
 from fractions import Fraction
 
+import hostspeed
 from reference import parse_value
 from tracing import Tracer
 from workloads import FORMS_EXACT_ORDER, FORMS_FLOAT_ORDER
 
 #: The cli workload's child interpreters run this; the package has no __main__.
 CLI_STUB = "import sys; from loglegram.cli import main; sys.exit(main(sys.argv[1:]))"
+
+#: Seconds between kernel runs during set-up and during an in-process
+#: operation (hostspeed.Sampler).
+SAMPLE_INTERVAL_S = 0.025
 
 #: Operations faster than this get the extra light passes (see run_until).
 LIGHT_S = 0.1
@@ -253,12 +259,15 @@ def blas_stamp(numpy) -> dict:
 class Recorder:
     """Latencies and output extractions of every executed operation."""
 
-    def __init__(self, workload: Workload, inject_fault: bool):
+    def __init__(self, workload: Workload, inject_fault: bool, sampler: hostspeed.Sampler):
         self.workload = workload
-        self.records = []  # [pass, op index, latency seconds, error or None, digest]
+        # [pass, op index, latency seconds, error or None, digest, slowness]
+        # where the last is the host's mean slowness around the operation
+        self.records = []
         self.outputs = {}  # "op:digest" -> extraction
         self.fault_at = workload.fault_target() if inject_fault else None
-        self.best = {}  # op index -> fastest latency so far
+        self.latency = {}  # op index -> latest latency
+        self.sampler = sampler
 
     def run_pass(self, pass_no: int, indices=None, tracer=None) -> float:
         """Issue the operations at ``indices`` (default: all) once, in list order."""
@@ -269,17 +278,24 @@ class Recorder:
             op = workload.ops[index]
             fault = pass_no == 0 and index == self.fault_at
             entry_fn = workload.faulty_entry_fn(op) if fault and op["kind"] == "verify_range" else None
-            gc.collect()  # every operation starts from the same collector state
+            # Every operation starts from the same collector state: what the
+            # harness keeps (outputs, records) is frozen out of the young and
+            # old generations, so the collections an operation triggers scan
+            # only the objects it made, whichever operations ran before it.
+            gc.collect()
+            gc.freeze()
             if tracer is not None:
                 tracer.op = index
             error = digest = None
+            self.sampler.start()
             t0 = clock()
             try:
                 result = workload.call(op, entry_fn)
-                latency = clock() - t0
             except Exception as exc:  # an operation that raises is counted as failed
-                latency = clock() - t0
                 error = f"{type(exc).__name__}: {exc}"
+            finally:
+                self.sampler.stop()
+            latency, slowness = self.sampler.result(t0, clock())
             if error is None:
                 if fault and entry_fn is None:
                     result = workload.perturb(op, result)
@@ -288,36 +304,20 @@ class Recorder:
                 blob = json.dumps(extraction, sort_keys=True, separators=(",", ":"))
                 digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
                 self.outputs.setdefault(f"{index}:{digest}", extraction)
-            self.records.append([pass_no, index, latency, error, digest])
-            self.best[index] = min(latency, self.best.get(index, latency))
+            self.records.append([pass_no, index, latency, error, digest, slowness])
+            self.latency[index] = latency
         return clock() - started
 
     def run_until(self, seconds: float, min_full: int) -> dict:
         """Passes in the pattern full, light, light, ... for ``seconds``.
 
-        A full pass issues every operation; a light pass only those whose
-        fastest latency so far is under ``LIGHT_S``.  A short operation can
-        land in a quiet moment between other tenants' bursts, so extra
-        samples sharpen its fastest latency; a long one averages over the
-        bursts whatever its sample count.  Successive passes of an
-        in-process workload run on successive CPUs of this process's
-        affinity set: other tenants load
-        the host's cores unevenly, so the fastest pass per operation then
-        comes from the quieter core.  A pass is skipped when it would end
-        after ``seconds`` together with the full passes still owed to
-        ``min_full``; the run stops at the first such full pass.
+        A full pass issues every operation; a light pass only those that
+        took under ``LIGHT_S`` last time, so short operations, which set the
+        latency percentiles, get more samples than the few long ones.  A
+        pass is skipped when it would end after ``seconds`` together with
+        the full passes still owed to ``min_full``; the run stops at the
+        first such full pass.
         """
-        if self.workload.kind == "cli":
-            # Children would inherit the pin, and one pass is the whole run:
-            # leave their placement to the scheduler.
-            return self._run_until(seconds, min_full, [])
-        cpus = sorted(os.sched_getaffinity(0))
-        try:
-            return self._run_until(seconds, min_full, cpus)
-        finally:
-            os.sched_setaffinity(0, cpus)
-
-    def _run_until(self, seconds, min_full, cpus) -> dict:
         start = time.perf_counter()
         last = {"full": 0.0, "light": 0.0}
         done = {"full": 0, "light": 0}
@@ -328,13 +328,10 @@ class Recorder:
                 return done
             indices = None
             if kind == "light":
-                indices = [i for i, b in sorted(self.best.items()) if b < LIGHT_S]
+                indices = [i for i, t in sorted(self.latency.items()) if t < LIGHT_S]
                 if not indices or not fits:
                     continue
-            pass_no = sum(done.values())
-            if cpus:
-                os.sched_setaffinity(0, {cpus[pass_no % len(cpus)]})
-            last[kind] = self.run_pass(pass_no, indices)
+            last[kind] = self.run_pass(sum(done.values()), indices)
             done[kind] += 1
 
 
@@ -380,13 +377,18 @@ def main() -> int:
     parser.add_argument("--inject-fault", action="store_true")
     args = parser.parse_args()
     work_dir = os.path.join(os.path.dirname(os.path.abspath(args.out)), f"files-{os.getpid()}")
+    # Kernel runs during set-up too (see hostspeed.py), except in a traced
+    # run, whose set-up spans they would land in.
+    setup = hostspeed.Sampler(SAMPLE_INTERVAL_S if args.mode != "trace" else None)
+    setup.start()
     try:
-        return run(args, work_dir)
+        return run(args, work_dir, setup)
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
 
 
-def run(args, work_dir) -> int:
+def run(args, work_dir, setup) -> int:
+    t0 = time.perf_counter()
     import loglegram
     import loglegram.analysis
     import loglegram.cli
@@ -415,18 +417,28 @@ def run(args, work_dir) -> int:
     # before each operation only scans what earlier operations left behind.
     gc.collect()
     gc.freeze()
-    print("READY", flush=True)
+    setup.stop()
+    t1 = time.perf_counter()
+    latency, slowness = setup.result(t0, t1)
+    print(f"READY {slowness!r} {t1 - t0 - latency!r}", flush=True)
     if args.mode == "setup":
         return 0
 
     result = {"stamp": blas_stamp(numpy)}
     if args.mode == "run":
-        recorder = Recorder(workload, args.inject_fault)
+        if spec["workload"] == "cli":
+            # A child interpreter is bracketed by bare interpreter starts; the
+            # kernel would share this CPU with it, so nothing runs during it.
+            sampler = hostspeed.Sampler(probe=hostspeed.start_slowness)
+        else:
+            sampler = hostspeed.Sampler(SAMPLE_INTERVAL_S)
+        recorder = Recorder(workload, args.inject_fault, sampler)
         result["passes"] = recorder.run_until(args.seconds, spec["min_passes"])
         usage = resource.RUSAGE_CHILDREN if spec["workload"] == "cli" else resource.RUSAGE_SELF
         result["peak_rss_mib"] = resource.getrusage(usage).ru_maxrss / 1024
     else:
-        recorder = Recorder(workload, args.inject_fault)
+        # Nothing runs during an operation: it would land in the spans.
+        recorder = Recorder(workload, args.inject_fault, hostspeed.Sampler())
         tracer.uninstall()
         untraced = recorder.run_pass(0)
         workload.stdout_bytes = 0  # count one pass

@@ -34,7 +34,11 @@ EXPANSION_IN_RANGE_ORDER = 127
 
 CLI_FORMATS = ("plain", "csv", "json")
 
-#: Each operation is timed once per pass and run.py keeps its fastest pass,
+#: The cli workload's block of large outputs besides ``gram 256``.
+CLI_LARGE_ORDER = 192
+CLI_LARGE_COUNT = 19
+
+#: Each operation is timed once per pass and run.py keeps its median pass,
 #: so every workload makes at least this many full passes.  One cli pass
 #: (about a hundred fresh interpreters) already outlasts a run.
 MIN_PASSES = {"assemble": 3, "forms": 3, "verify": 3, "cli": 1}
@@ -172,13 +176,15 @@ def _cli(rng: random.Random):
                 lines = ["# seeded coefficients"] + _coeff_file(rng, exact=rng.random() < 0.5)
                 files.append({"name": names[-1], "lines": lines})
             ops.append({"kind": "cli", "argv": ["bilinear", *names, "--format", fmt]})
-    # Large outputs, where formatting and writing stdout cost most: one op in
-    # seven, so that the 90th percentile falls among them.  The largest is
-    # the plain 256 matrix (about 1.6 MB).
-    sizes = geom(128, 256, 15)
-    for i, size in enumerate(sizes):
-        fmt = CLI_FORMATS[(len(sizes) - 1 - i) % 3]
-        ops.append({"kind": "cli", "argv": ["gram", str(size), "--format", fmt]})
+    # Large outputs, where formatting and writing stdout cost most: the plain
+    # 256 matrix (about 1.6 MB) and 19 Grams of order 192 in turn in each
+    # format.  They are the 20 slowest of 110 operations, so the 90th
+    # percentile (the 99th smallest) falls in the middle of the order-192
+    # block, where the latencies lie close together, and not on a steep
+    # slope where a small shift picks a much larger or smaller operation.
+    ops.append({"kind": "cli", "argv": ["gram", "256", "--format", "plain"]})
+    for i in range(CLI_LARGE_COUNT):
+        ops.append({"kind": "cli", "argv": ["gram", str(CLI_LARGE_ORDER), "--format", CLI_FORMATS[i % 3]]})
     return ops, files
 
 
