@@ -8,27 +8,15 @@ diagnostics (2n+1) N[n, n], which decrease monotonically toward
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import OrderLimitError
-from .exactmoments import GramMatrix, diag_sum_term, entry_offdiag
+from .exactmoments import GramMatrix, entry_offdiag, scaled_diagonal
 from .legendre import check_order
-from .oracles import (
-    DEFAULT_NUM_PANELS,
-    DEFAULT_QUAD_DEGREE,
-    MAX_QUAD_DEGREE,
-    _panel_grid,
-    dyadic_panels,
-    gauss_legendre_rule,
-    shifted_legendre_table,
-)
 
-#: Ceiling on expansion orders; the error quadrature degree scales with
-#: the order and tops out at the rule cap.
+#: Ceiling on expansion orders, which bounds the coefficient list the
+#: expansion report carries.
 MAX_EXPANSION_ORDER = 512
 
 __all__ = [
@@ -45,8 +33,8 @@ __all__ = [
 class ExpansionReport:
     """Shifted Legendre expansion of log(x) truncated at ``order``.
 
-    ``l2_error`` is the L2[0, 1] norm of log minus the partial expansion;
-    it is nonincreasing in the order.
+    ``l2_error`` is the L2[0, 1] norm of log minus the partial expansion,
+    1/(order+1).
     """
 
     order: int
@@ -94,32 +82,20 @@ def log_expansion_coeffs(order: int, *, max_order=None) -> list:
     return coeffs
 
 
-def expansion_l2_error(
-    order: int,
-    *,
-    num_panels: int = DEFAULT_NUM_PANELS,
-    quad_degree: int | None = None,
-) -> ExpansionReport:
-    """L2[0, 1] error of the truncated log expansion, by graded quadrature.
+def expansion_l2_error(order: int) -> ExpansionReport:
+    """L2[0, 1] error of the truncated log expansion: exactly 1/(order+1).
 
-    The residual is integrated on the same dyadic mesh the quadrature
-    oracle uses, so the panels resolve the log factor; the quadrature
-    degree grows with the order so the polynomial part of the squared
-    residual stays inside the rule's exactness range (up to the rule
-    cap).  Computing the error by quadrature rather than Parseval keeps
-    the Parseval identity available as an independent cross-check.
+    Parseval telescopes.  The integral of log(x)**2 over [0, 1] is 2,
+    c_0**2 = 1, and c_n**2 / (2n+1) = 1/n**2 - 1/(n+1)**2 for n >= 1, so
+    the captured energy is 2 - 1/(order+1)**2 and the squared error is
+    1/(order+1)**2.  The test suite cross-checks this against a graded
+    quadrature of the residual.
     """
     check_order(order, MAX_EXPANSION_ORDER, name="order")
-    if quad_degree is None:
-        quad_degree = min(MAX_QUAD_DEGREE, max(DEFAULT_QUAD_DEGREE, order + 8))
-    coefficients = log_expansion_coeffs(order, max_order=order)
-    coeffs = np.array([float(c) for c in coefficients])
-    x, w = _panel_grid(dyadic_panels(num_panels), gauss_legendre_rule(quad_degree))
-    partial = coeffs @ shifted_legendre_table(x, order)
-    residual = np.log(x) - partial
-    err_sq = float(np.dot(w, residual * residual))
     return ExpansionReport(
-        order=order, coefficients=coefficients, l2_error=math.sqrt(err_sq)
+        order=order,
+        coefficients=log_expansion_coeffs(order, max_order=order),
+        l2_error=1 / (order + 1),
     )
 
 
@@ -131,10 +107,4 @@ def diag_scaling_table(max_order: int, *, max_order_cap=None) -> list:
     bounded below by its limit -2 log 2.
     """
     check_order(max_order, max_order_cap, name="max_order")
-    out = []
-    running = Fraction(-1)
-    for n in range(max_order + 1):
-        if n >= 1:
-            running -= 2 * diag_sum_term(n)
-        out.append((n, float(running)))
-    return out
+    return [(n, float(scaled)) for n, scaled in enumerate(scaled_diagonal(max_order))]

@@ -2,8 +2,8 @@
 
 Subcommands: entry, gram, verify, expand-log, bilinear.  Data goes to
 stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage or input
-error, 2 verification failure, 3 numerical failure (non-convergence or
-a non-finite value reaching a serializer).
+error, 2 verification failure, 3 numerical failure (a non-finite value
+reaching a serializer).
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ __all__ = [
     "entry_offdiag",
     "gram_exact",
     "gram_float",
+    "scaled_diagonal",
 ]
 
 
@@ -69,12 +70,26 @@ def entry_offdiag(n: int, m: int, *, max_order=None) -> Fraction:
     return Fraction(sign, abs(n - m) * (n + m + 1))
 
 
+def scaled_diagonal(n_max: int):
+    """Yield (2n+1) N[n, n] for n = 0..n_max as exact running sums.
+
+    The n-th value is -1 - 2 * sum_{j=1..n} diag_sum_term(j), so each
+    step costs one summand; ``entry_diag``, ``gram_exact`` and
+    ``analysis.diag_scaling_table`` all read their diagonals from here.
+    The order is not validated here.
+    """
+    running = Fraction(-1)
+    yield running
+    for j in range(1, n_max + 1):
+        running -= 2 * diag_sum_term(j)
+        yield running
+
+
 def entry_diag(n: int, *, max_order=None) -> Fraction:
-    """N[n, n] by fresh summation of the closed sum, as a reduced fraction."""
+    """N[n, n] from the closed sum, as a reduced fraction."""
     check_order(n, max_order, name="n")
-    scaled = Fraction(-1) - 2 * sum(
-        (diag_sum_term(j) for j in range(1, n + 1)), Fraction(0)
-    )
+    for scaled in scaled_diagonal(n):
+        pass
     return scaled / (2 * n + 1)
 
 
@@ -94,17 +109,13 @@ def entry(n: int, m: int, *, max_order=None) -> Fraction:
 def gram_exact(size: int, *, max_order=None) -> GramMatrix:
     """Exact (size+1) x (size+1) Gram matrix with entries N[n, m].
 
-    The diagonal reuses an incrementally maintained partial sum, O(1)
-    extra work per row; a test pins this against fresh ``entry_diag``
-    summation.
+    The diagonal comes from one ``scaled_diagonal`` sweep, O(1) extra
+    work per row; a test pins this against ``entry_diag``.
     """
     check_order(size, max_order, name="size")
     rows = [[Fraction(0)] * (size + 1) for _ in range(size + 1)]
-    running = Fraction(-1)  # (2n+1) N[n, n] for the current n
-    for n in range(size + 1):
-        if n >= 1:
-            running -= 2 * diag_sum_term(n)
-        rows[n][n] = running / (2 * n + 1)
+    for n, scaled in enumerate(scaled_diagonal(size)):
+        rows[n][n] = scaled / (2 * n + 1)
         for m in range(n):
             value = entry_offdiag(n, m, max_order=max_order)
             rows[n][m] = value

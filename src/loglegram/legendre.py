@@ -28,6 +28,7 @@ __all__ = [
     "coeffs_exact",
     "eval_batch",
     "eval_shifted",
+    "recurrence_sweep",
 ]
 
 
@@ -71,23 +72,39 @@ class MonomialPoly:
         return acc
 
 
+def recurrence_sweep(n_max, x):
+    """Yield P_0(2x-1), ..., P_{n_max}(2x-1) by the forward recurrence.
+
+    This is the package's one floating recurrence loop: ``eval_shifted``,
+    ``eval_batch`` and the quadrature oracle's table all consume it, so
+    their values agree bit for bit.  ``x`` may be a float, a Fraction or
+    an ndarray; the order is not validated here.
+    """
+    t = 2 * x - 1
+    p_prev = x * 0 + 1
+    yield p_prev
+    if n_max == 0:
+        return
+    p_cur = t
+    yield p_cur
+    for k in range(1, n_max):
+        p_prev, p_cur = p_cur, ((2 * k + 1) * t * p_cur - k * p_prev) / (k + 1)
+        yield p_cur
+
+
 def eval_shifted(n, x, *, max_order=None):
     """Evaluate P_n(2x-1) by the forward three-term recurrence.
 
     Works with float, Fraction or any numeric type supporting ring
     arithmetic plus true division; exact input gives an exact result.
     Arguments outside [0, 1] are allowed (the recurrence does not care),
-    but |result| <= 1 is only guaranteed on [0, 1].
+    but |result| <= 1 is only guaranteed on [0, 1].  Only the last two
+    values are held, so memory does not grow with n.
     """
     check_order(n, max_order)
-    t = 2 * x - 1
-    if n == 0:
-        return x * 0 + 1
-    p_prev = x * 0 + 1
-    p_cur = t
-    for k in range(1, n):
-        p_prev, p_cur = p_cur, ((2 * k + 1) * t * p_cur - k * p_prev) / (k + 1)
-    return p_cur
+    for value in recurrence_sweep(n, x):
+        pass
+    return value
 
 
 def eval_batch(n_max, x, *, max_order=None):
@@ -97,14 +114,7 @@ def eval_batch(n_max, x, *, max_order=None):
     both run the same arithmetic in the same order.
     """
     check_order(n_max, max_order)
-    t = 2 * x - 1
-    out = [x * 0 + 1]
-    if n_max == 0:
-        return out
-    out.append(t)
-    for k in range(1, n_max):
-        out.append(((2 * k + 1) * t * out[k] - k * out[k - 1]) / (k + 1))
-    return out
+    return list(recurrence_sweep(n_max, x))
 
 
 def coeffs_exact(n, *, max_order=None) -> MonomialPoly:

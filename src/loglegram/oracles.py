@@ -19,19 +19,20 @@ against either oracle and reports per-pair results.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceError
-from .legendre import MAX_ORDER, check_order, coeffs_exact
+from .legendre import MAX_ORDER, check_order, coeffs_exact, recurrence_sweep
 
 __all__ = [
     "DEFAULT_NUM_PANELS",
     "DEFAULT_QUAD_DEGREE",
     "EXACT_ORACLE_MAX_ORDER",
+    "MAX_NUM_PANELS",
     "MAX_QUAD_DEGREE",
     "QUAD_ABS_TOL",
     "QUAD_REL_TOL",
@@ -57,6 +58,9 @@ EXACT_ORACLE_MAX_ORDER = 64
 VERIFY_EXACT_MAX_ORDER = 40
 
 DEFAULT_NUM_PANELS = 64
+#: 2**-1074 is the smallest positive double; one more panel puts the
+#: truncation point at 0.
+MAX_NUM_PANELS = 1074
 DEFAULT_QUAD_DEGREE = 32
 MAX_QUAD_DEGREE = 128
 
@@ -125,61 +129,48 @@ class PanelDecomposition:
 
 
 def dyadic_panels(num_panels: int = DEFAULT_NUM_PANELS) -> PanelDecomposition:
-    """Geometrically graded panel decomposition with ratio 1/2."""
+    """Geometrically graded panel decomposition with ratio 1/2.
+
+    Rejects a panel count above MAX_NUM_PANELS, whose truncation point
+    2**-num_panels underflows to 0 and would put log(0) into the sums.
+    """
     if not isinstance(num_panels, int) or isinstance(num_panels, bool) or num_panels < 1:
         raise ValueError(f"num_panels must be a positive integer, got {num_panels!r}")
+    if num_panels > MAX_NUM_PANELS:
+        raise ValueError(
+            f"num_panels must be at most {MAX_NUM_PANELS}, got {num_panels}: "
+            f"the truncation point 2**-{num_panels} underflows to 0"
+        )
     return PanelDecomposition(
         num_panels=num_panels,
         breakpoints=2.0 ** -np.arange(num_panels + 1, dtype=np.float64),
     )
 
 
-def _legendre_pair(degree: int, t: float):
-    """P_degree(t) and its derivative via the recurrence pair."""
-    p_prev, p_cur = 1.0, t
-    for k in range(1, degree):
-        p_prev, p_cur = p_cur, ((2 * k + 1) * t * p_cur - k * p_prev) / (k + 1)
-    dp = degree * (t * p_cur - p_prev) / (t * t - 1.0)
-    return p_cur, dp
-
-
 def gauss_legendre_rule(degree: int) -> QuadratureRule:
-    """Build the degree-node Gauss-Legendre rule by Newton iteration.
+    """The degree-node Gauss-Legendre rule, from numpy's ``leggauss``.
 
-    Each node starts from the Chebyshev-like guess
-    cos(pi (i - 1/4) / (degree + 1/2)) and is polished by Newton steps on
-    P_degree evaluated through the recurrence, to an increment below
-    1e-15.  Weights are 2 / ((1 - t**2) P'_degree(t)**2).  Only half the
-    roots are solved; the rest follow by symmetry, which keeps the rule
-    exactly symmetric.
-
-    Raises ConvergenceError if any root fails to settle in 100 steps.
+    numpy symmetrizes the nodes and weights, so the rule is exactly
+    symmetric and the middle node of an odd-degree rule is exactly 0.
+    Rules are cached per degree and their arrays are read-only, so every
+    caller shares one copy.
     """
     if not isinstance(degree, int) or isinstance(degree, bool):
         raise ValueError(f"degree must be an integer, got {degree!r}")
     if not 1 <= degree <= MAX_QUAD_DEGREE:
         raise ValueError(f"degree must be in [1, {MAX_QUAD_DEGREE}], got {degree}")
-    nodes = np.empty(degree)
-    weights = np.empty(degree)
-    for i in range(1, (degree + 1) // 2 + 1):
-        t = math.cos(math.pi * (i - 0.25) / (degree + 0.5))
-        for _ in range(100):
-            p, dp = _legendre_pair(degree, t)
-            step = p / dp
-            t -= step
-            if abs(step) <= 1e-15:
-                break
-        else:
-            raise ConvergenceError(
-                f"Newton iteration for node {i} of the degree-{degree} rule "
-                f"did not converge in 100 steps"
-            )
-        _, dp = _legendre_pair(degree, t)
-        w = 2.0 / ((1.0 - t * t) * dp * dp)
-        nodes[i - 1], weights[i - 1] = -t, w
-        nodes[degree - i], weights[degree - i] = t, w
-    if degree % 2:
-        nodes[degree // 2] = 0.0  # middle root of an odd-degree rule is exact
+    return _cached_rule(degree)
+
+
+@functools.cache
+def _cached_rule(degree: int) -> QuadratureRule:
+    # Imported here: numpy.polynomial costs start-up time and memory that
+    # only the quadrature paths need.
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(degree)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return QuadratureRule(degree=degree, nodes=nodes, weights=weights)
 
 
@@ -187,17 +178,22 @@ def shifted_legendre_table(x: np.ndarray, n_max: int) -> np.ndarray:
     """Vectorized recurrence table: row n holds P_n(2x-1) at every x."""
     x = np.asarray(x, dtype=np.float64)
     table = np.empty((n_max + 1, x.size))
-    t = 2.0 * x - 1.0
-    table[0] = 1.0
-    if n_max >= 1:
-        table[1] = t
-    for k in range(1, n_max):
-        table[k + 1] = ((2 * k + 1) * t * table[k] - k * table[k - 1]) / (k + 1)
+    for row, values in zip(table, recurrence_sweep(n_max, x)):
+        row[:] = values
     return table
 
 
-def _panel_grid(panels: PanelDecomposition, rule: QuadratureRule):
-    """Map the rule onto every panel; returns flat node and weight arrays."""
+def _panel_grid(
+    panels: PanelDecomposition | None = None, rule: QuadratureRule | None = None
+):
+    """Map the rule onto every panel; returns flat node and weight arrays.
+
+    ``None`` selects the default mesh and the default-degree rule.
+    """
+    if panels is None:
+        panels = dyadic_panels()
+    if rule is None:
+        rule = gauss_legendre_rule(DEFAULT_QUAD_DEGREE)
     his = panels.breakpoints[:-1]
     los = panels.breakpoints[1:]
     mid = 0.5 * (his + los)
@@ -224,10 +220,6 @@ def quad_entry_oracle(
     """
     check_order(n, max_order, name="n")
     check_order(m, max_order, name="m")
-    if panels is None:
-        panels = dyadic_panels()
-    if rule is None:
-        rule = gauss_legendre_rule(DEFAULT_QUAD_DEGREE)
     x, w = _panel_grid(panels, rule)
     table = shifted_legendre_table(x, max(n, m))
     return float(np.dot(w, table[n] * table[m] * np.log(x)))
@@ -326,10 +318,6 @@ def verify_range(
                 ok = entry_fn(n, m) == exact_entry_oracle(n, m)
                 checks.append(PairCheck(n=n, m=m, passed=ok))
     else:
-        if panels is None:
-            panels = dyadic_panels()
-        if rule is None:
-            rule = gauss_legendre_rule(DEFAULT_QUAD_DEGREE)
         x, w = _panel_grid(panels, rule)
         log_x = np.log(x)
         table = shifted_legendre_table(x, max_order)

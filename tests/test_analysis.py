@@ -127,15 +127,28 @@ def test_bilinear_rejects_undersized_gram():
 
 def test_l2_error_matches_telescoped_tail():
     # Parseval telescopes: the exact error at a given order is 1/(order+1)
-    for order in (0, 1, 2, 3, 5, 8, 13, 21):
+    for order in (0, 1, 2, 3, 5, 8, 13, 21, 127, 200, 512):
         report = expansion_l2_error(order)
-        assert report.l2_error == pytest.approx(1.0 / (order + 1), abs=1e-9)
+        assert report.l2_error == 1 / (order + 1)
         assert report.order == order
         assert len(report.coefficients) == order + 1
 
 
+def test_l2_error_confirmed_by_quadrature():
+    # integrate the residual log - sum c_n P_n on the graded mesh with a
+    # rule that keeps the polynomial part inside its exactness range
+    for order in range(64):
+        degree = max(32, order + 8)
+        x, w = _panel_grid(dyadic_panels(), gauss_legendre_rule(degree))
+        coeffs = np.array([float(c) for c in log_expansion_coeffs(order)])
+        residual = np.log(x) - coeffs @ shifted_legendre_table(x, order)
+        quad_error = math.sqrt(float(np.dot(w, residual * residual)))
+        exact = 1 / (order + 1)
+        assert abs(quad_error - exact) <= 1e-10 * exact, order
+
+
 def test_parseval_consistency():
-    # quadrature error + captured energy = integral of log^2 = 2
+    # squared error + captured energy = integral of log^2 = 2
     for order in range(33):
         report = expansion_l2_error(order)
         captured = sum(

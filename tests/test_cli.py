@@ -143,6 +143,21 @@ def test_verify_exact_over_cap(run_cli):
     assert "exceeds" in err
 
 
+def test_verify_quad_rejects_underflowing_panels(run_cli):
+    for fmt in ("plain", "csv", "json"):
+        code, out, err = run_cli(
+            "verify", "--max-order", "2", "--oracle", "quad",
+            "--panels", "1075", "--format", fmt,
+        )
+        assert (code, out) == (1, "")
+        assert "underflows" in err
+    code, out, _ = run_cli(
+        "verify", "--max-order", "2", "--oracle", "quad", "--panels", "1074"
+    )
+    assert code == 0
+    assert "6/6 pairs within tolerance" in out
+
+
 def test_verify_injected_failure_exits_two(run_cli, monkeypatch):
     true_entry = exactmoments.entry
 

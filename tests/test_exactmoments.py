@@ -100,7 +100,10 @@ def test_gram_exact_small_matrices():
 def test_gram_incremental_diagonal_matches_fresh_summation():
     gram = gram_exact(32)
     for n in range(33):
-        assert gram.entries[n][n] == entry_diag(n)
+        fresh = Fraction(-1) - 2 * sum(
+            (diag_sum_term(j) for j in range(1, n + 1)), Fraction(0)
+        )
+        assert gram.entries[n][n] == entry_diag(n) == fresh / (2 * n + 1)
 
 
 def test_gram_matches_single_entries():

@@ -88,6 +88,15 @@ def test_rule_rejects_bad_degrees(degree):
         gauss_legendre_rule(degree)
 
 
+def test_rule_is_cached_and_read_only():
+    rule = gauss_legendre_rule(16)
+    assert gauss_legendre_rule(16) is rule
+    with pytest.raises(ValueError):
+        rule.nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        rule.weights[0] = 0.0
+
+
 def test_dyadic_panels_grading():
     panels = dyadic_panels()
     assert panels.num_panels == 64
@@ -99,14 +108,24 @@ def test_dyadic_panels_grading():
         dyadic_panels(0)
 
 
+def test_dyadic_panels_reject_underflowing_truncation_point():
+    deepest = dyadic_panels(oracles.MAX_NUM_PANELS)
+    assert deepest.truncation_point == 2.0**-1074 > 0.0
+    x, _ = oracles._panel_grid(deepest)
+    assert np.all(x > 0.0)
+    for num_panels in (1075, 2000):
+        with pytest.raises(ValueError, match="underflows"):
+            dyadic_panels(num_panels)
+
+
 def test_table_matches_scalar_evaluation():
     from loglegram.legendre import eval_batch
 
-    x = np.array([0.0, 0.123, 0.5, 0.875, 1.0])
+    grid, _ = oracles._panel_grid()
+    x = np.concatenate([[0.0, 0.123, 0.5, 0.875, 1.0], grid])
     table = shifted_legendre_table(x, 24)
     for j, xj in enumerate(x):
-        values = eval_batch(24, float(xj))
-        assert table[:, j] == pytest.approx(values, abs=1e-14)
+        assert table[:, j].tolist() == eval_batch(24, float(xj))
 
 
 def test_quad_oracle_point_values():
