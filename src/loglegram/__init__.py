@@ -13,7 +13,7 @@ from .analysis import (
     expansion_l2_error,
     log_expansion_coeffs,
 )
-from .errors import ConvergenceError, OrderLimitError
+from .errors import OrderLimitError
 from .exactmoments import (
     GramMatrix,
     diag_sum_term,
@@ -40,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MAX_ORDER",
-    "ConvergenceError",
     "ExpansionReport",
     "GramMatrix",
     "MonomialPoly",

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import analysis, exactmoments, oracles
-from .errors import ConvergenceError
+from .legendre import check_order
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -241,24 +241,20 @@ def _cmd_bilinear(args) -> int:
     return EXIT_OK
 
 
-def _order_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"order must be nonnegative: {value}")
-    return value
+def _int_arg(minimum: int):
+    """argparse type: an integer of at least ``minimum``, via check_order."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        try:
+            return check_order(value, math.inf, name="value", minimum=minimum)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _positive_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive: {value}")
-    return value
+    return parse
 
 
 def _add_common(parser) -> None:
@@ -270,7 +266,7 @@ def _add_common(parser) -> None:
     )
     parser.add_argument(
         "--max-order-cap",
-        type=_order_arg,
+        type=_int_arg(0),
         default=None,
         metavar="N",
         help="override the default order ceiling",
@@ -288,31 +284,31 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("entry", help="print a single matrix entry N[n,m]")
-    p.add_argument("n", type=_order_arg)
-    p.add_argument("m", type=_order_arg)
+    p.add_argument("n", type=_int_arg(0))
+    p.add_argument("m", type=_int_arg(0))
     p.add_argument("--exact", action="store_true", help="print the reduced fraction")
     _add_common(p)
     p.set_defaults(func=_cmd_entry)
 
     p = sub.add_parser("gram", help="print or write the full (size+1)x(size+1) matrix")
-    p.add_argument("size", type=_order_arg)
+    p.add_argument("size", type=_int_arg(0))
     p.add_argument("--exact", action="store_true", help="exact rational entries")
     p.add_argument("--out", default=None, metavar="PATH", help="write to a file")
     _add_common(p)
     p.set_defaults(func=_cmd_gram)
 
     p = sub.add_parser("verify", help="check the closed forms against an oracle")
-    p.add_argument("--max-order", type=_order_arg, default=20)
+    p.add_argument("--max-order", type=_int_arg(0), default=20)
     p.add_argument("--oracle", choices=("exact", "quad"), default="exact")
     p.add_argument(
         "--panels",
-        type=_positive_arg,
+        type=_int_arg(1),
         default=oracles.DEFAULT_NUM_PANELS,
         help="dyadic panel count for the quad oracle",
     )
     p.add_argument(
         "--quad-degree",
-        type=_positive_arg,
+        type=_int_arg(1),
         default=oracles.DEFAULT_QUAD_DEGREE,
         help="Gauss-Legendre nodes per panel for the quad oracle",
     )
@@ -320,7 +316,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("expand-log", help="shifted Legendre expansion of log(x)")
-    p.add_argument("order", type=_order_arg)
+    p.add_argument("order", type=_int_arg(0))
     _add_common(p)
     p.set_defaults(func=_cmd_expand_log)
 
@@ -329,7 +325,7 @@ def build_parser() -> _Parser:
     p.add_argument("b_file")
     p.add_argument(
         "--gram-size",
-        type=_order_arg,
+        type=_int_arg(0),
         default=None,
         help="matrix order (default: inferred from the files)",
     )
@@ -347,7 +343,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (_NumericalError, ConvergenceError) as exc:
+    except _NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

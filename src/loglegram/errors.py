@@ -3,7 +3,3 @@
 
 class OrderLimitError(ValueError):
     """A polynomial order exceeds the configured ceiling."""
-
-
-class ConvergenceError(ArithmeticError):
-    """An iterative numerical procedure failed to converge."""

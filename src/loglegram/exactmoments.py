@@ -12,6 +12,7 @@ are correctly rounded from the exact values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,8 +54,7 @@ class GramMatrix:
 
 def diag_sum_term(j: int) -> Fraction:
     """Summand 1/((2j-1) * 2j * (2j+1)) of the diagonal closed sum, j >= 1."""
-    if not isinstance(j, int) or isinstance(j, bool) or j < 1:
-        raise ValueError(f"summation index must be a positive integer, got {j!r}")
+    check_order(j, math.inf, name="summation index", minimum=1)
     return Fraction(1, (2 * j - 1) * 2 * j * (2 * j + 1))
 
 

@@ -1,18 +1,21 @@
 """Shifted Legendre polynomials on [0, 1].
 
 P_n(2x-1) is the classical Legendre polynomial composed with the affine
-map that sends [0, 1] onto [-1, 1].  Everything here runs on the
-three-term recurrence
+map that sends [0, 1] onto [-1, 1].  Values come from the three-term
+recurrence
 
     (k+1) P_{k+1}(t) = (2k+1) t P_k(t) - k P_{k-1}(t),    P_0 = 1, P_1 = t,
 
-either on scalar values (floating evaluation) or on exact integer
-coefficient vectors in the monomial basis of x.
+run on floats, Fractions or arrays.  Exact integer coefficients in the
+monomial basis of x come from the closed binomial sum
+
+    P_n(2x-1) = sum_{k=0..n} (-1)**(n+k) C(n, k) C(n+k, k) x**k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import OrderLimitError
 
@@ -32,17 +35,19 @@ __all__ = [
 ]
 
 
-def check_order(n, max_order=None, *, name="order"):
-    """Validate a polynomial order against the configured ceiling.
+def check_order(n, max_order=None, *, name="order", minimum=0):
+    """Validate an integer argument against [minimum, max_order].
 
-    Raises ValueError for non-integer or negative input and
-    OrderLimitError when the order exceeds ``max_order`` (defaulting to
-    the module-level MAX_ORDER).
+    This is the package's one integer validator.  Raises ValueError for
+    non-integer input (bool included) or a value below ``minimum``, and
+    OrderLimitError when the value exceeds ``max_order`` (defaulting to
+    the module-level MAX_ORDER; pass math.inf for no ceiling).
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"{name} must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"{name} must be nonnegative, got {n}")
+    if n < minimum:
+        bound = {0: "nonnegative", 1: "positive"}.get(minimum, f"at least {minimum}")
+        raise ValueError(f"{name} must be {bound}, got {n}")
     cap = MAX_ORDER if max_order is None else max_order
     if n > cap:
         raise OrderLimitError(f"{name} {n} exceeds the configured maximum {cap}")
@@ -120,28 +125,11 @@ def eval_batch(n_max, x, *, max_order=None):
 def coeffs_exact(n, *, max_order=None) -> MonomialPoly:
     """Exact integer monomial coefficients of P_n(2x-1).
 
-    Runs the recurrence on coefficient vectors with t = 2x-1.  The
-    division by k+1 is exact over the integers (shifted Legendre
-    polynomials have integer coefficients, leading term binomial(2n, n)),
-    which the divmod below asserts.
+    The coefficient of x**k is (-1)**(n+k) C(n, k) C(n+k, k), so the
+    vector is built directly from binomials in O(n) products, with no
+    recurrence and no division.
     """
     check_order(n, max_order)
-    if n == 0:
-        return MonomialPoly((1,))
-    prev = [1]
-    cur = [-1, 2]
-    for k in range(1, n):
-        # (2x - 1) * cur, as a coefficient vector one slot longer
-        shifted = [0] * (len(cur) + 1)
-        for i, c in enumerate(cur):
-            shifted[i + 1] += 2 * c
-            shifted[i] -= c
-        nxt = []
-        for i, s in enumerate(shifted):
-            num = (2 * k + 1) * s - (k * prev[i] if i < len(prev) else 0)
-            q, r = divmod(num, k + 1)
-            if r:
-                raise AssertionError(f"non-integer coefficient at order {k + 1}")
-            nxt.append(q)
-        prev, cur = cur, nxt
-    return MonomialPoly(tuple(cur))
+    return MonomialPoly(
+        tuple((-1) ** (n + k) * comb(n, k) * comb(n + k, k) for k in range(n + 1))
+    )

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .legendre import MAX_ORDER, check_order, coeffs_exact, recurrence_sweep
+from .legendre import check_order, coeffs_exact, recurrence_sweep
 
 __all__ = [
     "DEFAULT_NUM_PANELS",
@@ -72,8 +72,7 @@ QUAD_ABS_TOL = 1e-13
 
 def monomial_log_moment(k: int) -> Fraction:
     """Exact log moment of x**k on [0, 1]: -1/(k+1)**2 (integration by parts)."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"monomial power must be a nonnegative integer, got {k!r}")
+    check_order(k, math.inf, name="monomial power")
     return Fraction(-1, (k + 1) ** 2)
 
 
@@ -134,8 +133,7 @@ def dyadic_panels(num_panels: int = DEFAULT_NUM_PANELS) -> PanelDecomposition:
     Rejects a panel count above MAX_NUM_PANELS, whose truncation point
     2**-num_panels underflows to 0 and would put log(0) into the sums.
     """
-    if not isinstance(num_panels, int) or isinstance(num_panels, bool) or num_panels < 1:
-        raise ValueError(f"num_panels must be a positive integer, got {num_panels!r}")
+    check_order(num_panels, math.inf, name="num_panels", minimum=1)
     if num_panels > MAX_NUM_PANELS:
         raise ValueError(
             f"num_panels must be at most {MAX_NUM_PANELS}, got {num_panels}: "
@@ -155,10 +153,7 @@ def gauss_legendre_rule(degree: int) -> QuadratureRule:
     Rules are cached per degree and their arrays are read-only, so every
     caller shares one copy.
     """
-    if not isinstance(degree, int) or isinstance(degree, bool):
-        raise ValueError(f"degree must be an integer, got {degree!r}")
-    if not 1 <= degree <= MAX_QUAD_DEGREE:
-        raise ValueError(f"degree must be in [1, {MAX_QUAD_DEGREE}], got {degree}")
+    check_order(degree, MAX_QUAD_DEGREE, name="degree", minimum=1)
     return _cached_rule(degree)
 
 
@@ -203,6 +198,27 @@ def _panel_grid(
     return x, w
 
 
+def _quad_kernel(
+    n_max: int,
+    panels: PanelDecomposition | None = None,
+    rule: QuadratureRule | None = None,
+):
+    """Return (n, m) -> N[n, m] by quadrature, for every n, m <= n_max.
+
+    The grid, log(x) and the recurrence table are built once; both
+    ``quad_entry_oracle`` and the quad sweep of ``verify_range`` call the
+    returned function, so their values agree bit for bit.
+    """
+    x, w = _panel_grid(panels, rule)
+    log_x = np.log(x)
+    table = shifted_legendre_table(x, n_max)
+
+    def value(n: int, m: int) -> float:
+        return float(np.dot(w, table[n] * table[m] * log_x))
+
+    return value
+
+
 def quad_entry_oracle(
     n: int,
     m: int,
@@ -220,9 +236,7 @@ def quad_entry_oracle(
     """
     check_order(n, max_order, name="n")
     check_order(m, max_order, name="m")
-    x, w = _panel_grid(panels, rule)
-    table = shifted_legendre_table(x, max(n, m))
-    return float(np.dot(w, table[n] * table[m] * np.log(x)))
+    return _quad_kernel(max(n, m), panels, rule)(n, m)
 
 
 @dataclass(frozen=True)
@@ -297,14 +311,8 @@ def verify_range(
 
     if mode not in ("exact", "quad"):
         raise ValueError(f"mode must be 'exact' or 'quad', got {mode!r}")
-    if mode == "exact":
-        check_order(max_order, VERIFY_EXACT_MAX_ORDER, name="max_order")
-    else:
-        check_order(
-            max_order,
-            MAX_ORDER if max_order_cap is None else max_order_cap,
-            name="max_order",
-        )
+    cap = VERIFY_EXACT_MAX_ORDER if mode == "exact" else max_order_cap
+    check_order(max_order, cap, name="max_order")
 
     if entry_fn is None:
 
@@ -318,13 +326,10 @@ def verify_range(
                 ok = entry_fn(n, m) == exact_entry_oracle(n, m)
                 checks.append(PairCheck(n=n, m=m, passed=ok))
     else:
-        x, w = _panel_grid(panels, rule)
-        log_x = np.log(x)
-        table = shifted_legendre_table(x, max_order)
+        quad = _quad_kernel(max_order, panels, rule)
         for n in range(max_order + 1):
             for m in range(n + 1):
-                # identical arithmetic to quad_entry_oracle on the same grid
-                approx = float(np.dot(w, table[n] * table[m] * log_x))
+                approx = quad(n, m)
                 reference = float(entry_fn(n, m))
                 abs_err = abs(approx - reference)
                 rel_err = abs_err / abs(reference) if reference else math.inf

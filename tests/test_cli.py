@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from loglegram import cli, exactmoments, oracles
-from loglegram.errors import ConvergenceError
+from loglegram import cli, exactmoments
 from loglegram.exactmoments import GramMatrix
 
 
@@ -296,16 +295,6 @@ def test_non_finite_value_is_numerical_failure(run_cli, monkeypatch):
     code, out, err = run_cli("gram", "0", "--format", "json")
     assert code == 3
     assert out == ""
-    assert "numerical failure" in err
-
-
-def test_convergence_error_is_numerical_failure(run_cli, monkeypatch):
-    def never_converges(degree):
-        raise ConvergenceError("stuck")
-
-    monkeypatch.setattr(oracles, "gauss_legendre_rule", never_converges)
-    code, out, err = run_cli("verify", "--max-order", "2", "--oracle", "quad")
-    assert code == 3
     assert "numerical failure" in err
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import random
 from fractions import Fraction
@@ -5,9 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from loglegram import legendre
+from loglegram import cli, legendre
 from loglegram.errors import OrderLimitError
+from loglegram.exactmoments import diag_sum_term
 from loglegram.legendre import MonomialPoly, coeffs_exact, eval_batch, eval_shifted
+from loglegram.oracles import dyadic_panels, gauss_legendre_rule, monomial_log_moment
 
 
 def test_value_one_at_right_endpoint():
@@ -62,6 +66,34 @@ def test_coefficient_vector_invariants():
         assert poly.coeffs[0] == (-1) ** n  # P_n(-1) = (-1)**n
         if n >= 1:
             assert poly.coeffs[-1] != 0
+
+
+def _coeffs_by_vector_recurrence(n):
+    """The three-term recurrence on integer coefficient vectors, t = 2x-1.
+
+    This is how coeffs_exact used to build its output; the division by
+    k+1 is exact, which the divmod asserts.
+    """
+    if n == 0:
+        return (1,)
+    prev, cur = [1], [-1, 2]
+    for k in range(1, n):
+        shifted = [0] * (len(cur) + 1)  # (2x - 1) * cur
+        for i, c in enumerate(cur):
+            shifted[i + 1] += 2 * c
+            shifted[i] -= c
+        nxt = []
+        for i, s in enumerate(shifted):
+            q, r = divmod((2 * k + 1) * s - (k * prev[i] if i < len(prev) else 0), k + 1)
+            assert r == 0
+            nxt.append(q)
+        prev, cur = cur, nxt
+    return tuple(cur)
+
+
+@pytest.mark.parametrize("n", [*range(65), 128, 255, 256, 260])
+def test_binomial_coefficients_match_vector_recurrence(n):
+    assert coeffs_exact(n, max_order=260).coeffs == _coeffs_by_vector_recurrence(n)
 
 
 def test_leading_coefficient_is_central_binomial():
@@ -134,3 +166,49 @@ def test_monomial_poly_is_frozen():
     poly = MonomialPoly((1, -6, 6))
     with pytest.raises(AttributeError):
         poly.coeffs = (1,)
+
+
+def _via_cli(*argv):
+    """Spell the value into argv (at the None slot); exit 1 with no stdout is a rejection."""
+
+    def call(value):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([str(value) if arg is None else arg for arg in argv])
+        if (code, out.getvalue()) == (1, "") and err.getvalue():
+            raise ValueError(err.getvalue())
+        return code
+
+    return call
+
+
+_PY_BAD = (True, 2.0, "3")
+# argv is text: "True" and "2.0" are str() of the first two, and a string
+# "3" is a valid spelling there, so a non-decimal spelling of 3 stands in.
+_CLI_BAD = (True, 2.0, "3e0")
+
+
+@pytest.mark.parametrize(
+    "func, minimum, bad_values",
+    [
+        pytest.param(legendre.check_order, 0, _PY_BAD, id="check_order"),
+        pytest.param(
+            lambda v: legendre.check_order(v, math.inf, minimum=1), 1, _PY_BAD,
+            id="check_order-minimum-1",
+        ),
+        pytest.param(diag_sum_term, 1, _PY_BAD, id="diag_sum_term"),
+        pytest.param(monomial_log_moment, 0, _PY_BAD, id="monomial_log_moment"),
+        pytest.param(dyadic_panels, 1, _PY_BAD, id="dyadic_panels"),
+        pytest.param(gauss_legendre_rule, 1, _PY_BAD, id="gauss_legendre_rule"),
+        pytest.param(_via_cli("entry", None, "0"), 0, _CLI_BAD, id="cli-entry-order"),
+        pytest.param(_via_cli("gram", None), 0, _CLI_BAD, id="cli-gram-size"),
+        pytest.param(
+            _via_cli("verify", "--oracle", "quad", "--max-order", "2", "--panels", None),
+            1, _CLI_BAD, id="cli-panels",
+        ),
+    ],
+)
+def test_integer_entry_points_reject_non_integers_and_low_values(func, minimum, bad_values):
+    for value in (*bad_values, minimum - 1):
+        with pytest.raises(ValueError):
+            func(value)

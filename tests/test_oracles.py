@@ -1,5 +1,7 @@
+import ast
 import inspect
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -169,6 +171,17 @@ def test_verify_quad_single_pair():
     assert report.worst_abs <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "panels, rule", [(None, None), (dyadic_panels(48), gauss_legendre_rule(16))]
+)
+def test_verify_quad_errors_are_the_single_oracle_errors(panels, rule):
+    report = verify_range(20, "quad", panels=panels, rule=rule)
+    assert report.num_pairs == 231
+    for c in report.checks:
+        approx = quad_entry_oracle(c.n, c.m, panels, rule)
+        assert c.abs_err == abs(approx - float(exactmoments.entry(c.n, c.m)))
+
+
 def test_verify_caps():
     with pytest.raises(OrderLimitError):
         verify_range(41, "exact")
@@ -207,3 +220,26 @@ def test_oracles_are_structurally_independent():
         source = inspect.getsource(func)
         assert "exactmoments" not in source, func.__name__
     assert "exact_entry_oracle" not in inspect.getsource(quad_entry_oracle)
+
+
+def test_check_order_is_the_only_integer_validator():
+    # an isinstance(..., bool) test outside legendre.py is a hand-rolled
+    # integer check that should call check_order instead
+    package = pathlib.Path(oracles.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "legendre.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and any(
+                    isinstance(sub, ast.Name) and sub.id == "bool"
+                    for arg in node.args[1:]
+                    for sub in ast.walk(arg)
+                )
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
