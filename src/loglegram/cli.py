@@ -98,16 +98,15 @@ def _cmd_gram(args) -> int:
         gram = exactmoments.gram_float(args.size, max_order=args.max_order_cap)
     if args.format == "json":
         text = render_gram_json(gram)
-    elif args.format == "csv":
-        text = "".join(
-            ",".join(_format_value(v) for v in row) + "\n" for row in gram.entries
-        )
     else:
-        width = max(len(_format_value(v)) for row in gram.entries for v in row)
-        text = "".join(
-            "  ".join(_format_value(v).rjust(width) for v in row) + "\n"
-            for row in gram.entries
-        )
+        cells = [[_format_value(v) for v in row] for row in gram.entries]
+        if args.format == "csv":
+            text = "".join(",".join(row) + "\n" for row in cells)
+        else:
+            width = max(len(c) for row in cells for c in row)
+            text = "".join(
+                "  ".join(c.rjust(width) for c in row) + "\n" for row in cells
+            )
     _emit(text, args.out)
     return EXIT_OK
 

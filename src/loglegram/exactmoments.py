@@ -7,7 +7,10 @@ The target quantities are
 Off the diagonal the value is (-1)**(n+m+1) / (|n-m| (n+m+1)); on the
 diagonal, (2n+1) N[n, n] = -1 - 2 * sum_{j=1..n} 1/((2j-1) 2j (2j+1)).
 Both are evaluated in exact rational arithmetic; the floating variants
-are correctly rounded from the exact values.
+are correctly rounded from the exact values.  An off-diagonal entry is
++-1 over an integer below 2**53, and IEEE division of two exactly
+representable integers is correctly rounded, so the float Gram divides
+in numpy and needs rational arithmetic only for its diagonal.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .legendre import check_order
 
@@ -66,6 +71,11 @@ def entry_offdiag(n: int, m: int, *, max_order=None) -> Fraction:
         raise ValueError(
             f"entry_offdiag is undefined on the diagonal (n = m = {n}); use entry_diag"
         )
+    return _offdiag(n, m)
+
+
+def _offdiag(n: int, m: int) -> Fraction:
+    """The off-diagonal closed form for validated indices n != m."""
     sign = 1 if (n + m) % 2 else -1
     return Fraction(sign, abs(n - m) * (n + m + 1))
 
@@ -110,14 +120,15 @@ def gram_exact(size: int, *, max_order=None) -> GramMatrix:
     """Exact (size+1) x (size+1) Gram matrix with entries N[n, m].
 
     The diagonal comes from one ``scaled_diagonal`` sweep, O(1) extra
-    work per row; a test pins this against ``entry_diag``.
+    work per row; a test pins this against ``entry_diag``.  The ``size``
+    check covers every index, so cells skip the per-entry validation.
     """
     check_order(size, max_order, name="size")
     rows = [[Fraction(0)] * (size + 1) for _ in range(size + 1)]
     for n, scaled in enumerate(scaled_diagonal(size)):
         rows[n][n] = scaled / (2 * n + 1)
         for m in range(n):
-            value = entry_offdiag(n, m, max_order=max_order)
+            value = _offdiag(n, m)
             rows[n][m] = value
             rows[m][n] = value
     return GramMatrix(order=size, mode="exact", entries=rows)
@@ -126,10 +137,23 @@ def gram_exact(size: int, *, max_order=None) -> GramMatrix:
 def gram_float(size: int, *, max_order=None) -> GramMatrix:
     """Floating Gram matrix, each entry correctly rounded from the exact value.
 
-    float(Fraction) divides the arbitrary-precision numerator by the
-    denominator with correct rounding, so the result is deterministic
-    and platform independent.
+    Off the diagonal, numpy divides (-1)**(n+m+1) by |n-m| (n+m+1).  The
+    divisor is at most size * (2*size + 1), an integer below 2**53 and so
+    exact as a double, and IEEE division of exact operands is correctly
+    rounded: the quotient equals float(Fraction) of the exact entry.  The
+    diagonal is a sum, so it is rounded from its exact rational value.
+    Entries are Python floats in lists, like every other GramMatrix.
     """
-    exact = gram_exact(size, max_order=max_order)
-    rows = [[float(v) for v in row] for row in exact.entries]
-    return GramMatrix(order=size, mode="float", entries=rows)
+    check_order(size, max_order, name="size")
+    index = np.arange(size + 1, dtype=np.int64)
+    parity = np.where(index % 2, -1.0, 1.0)
+    values = -np.outer(parity, parity)
+    divisor = np.abs(np.subtract.outer(index, index))
+    divisor *= np.add.outer(index, index + 1)
+    with np.errstate(divide="ignore"):
+        np.divide(values, divisor, out=values)
+    del divisor  # freed before the row lists, which set the peak
+    np.fill_diagonal(
+        values, [float(s / (2 * n + 1)) for n, s in enumerate(scaled_diagonal(size))]
+    )
+    return GramMatrix(order=size, mode="float", entries=values.tolist())

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import OrderLimitError
 from .legendre import check_order, coeffs_exact, recurrence_sweep
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "EXACT_ORACLE_MAX_ORDER",
     "MAX_NUM_PANELS",
     "MAX_QUAD_DEGREE",
+    "MAX_QUAD_TABLE_CELLS",
     "QUAD_ABS_TOL",
     "QUAD_REL_TOL",
     "VERIFY_EXACT_MAX_ORDER",
@@ -63,6 +65,9 @@ DEFAULT_NUM_PANELS = 64
 MAX_NUM_PANELS = 1074
 DEFAULT_QUAD_DEGREE = 32
 MAX_QUAD_DEGREE = 128
+#: Cap on the quadrature table, (n_max+1) x (num_panels * degree) doubles:
+#: 2**22 cells are 32 MiB.
+MAX_QUAD_TABLE_CELLS = 2**22
 
 #: Quadrature-vs-exact tolerances: relative where the value has scale,
 #: absolute once it underflows that scale.
@@ -207,8 +212,19 @@ def _quad_kernel(
 
     The grid, log(x) and the recurrence table are built once; both
     ``quad_entry_oracle`` and the quad sweep of ``verify_range`` call the
-    returned function, so their values agree bit for bit.
+    returned function, so their values agree bit for bit.  Raises
+    OrderLimitError, before allocating anything, when the table would
+    exceed MAX_QUAD_TABLE_CELLS.
     """
+    num_panels = DEFAULT_NUM_PANELS if panels is None else panels.num_panels
+    degree = DEFAULT_QUAD_DEGREE if rule is None else rule.degree
+    cells = (n_max + 1) * num_panels * degree
+    if cells > MAX_QUAD_TABLE_CELLS:
+        raise OrderLimitError(
+            f"quadrature table of {n_max + 1} orders x {num_panels} panels x "
+            f"{degree} nodes = {cells} cells exceeds the configured maximum "
+            f"{MAX_QUAD_TABLE_CELLS}"
+        )
     x, w = _panel_grid(panels, rule)
     log_x = np.log(x)
     table = shifted_legendre_table(x, n_max)

@@ -157,6 +157,16 @@ def test_verify_quad_rejects_underflowing_panels(run_cli):
     assert "6/6 pairs within tolerance" in out
 
 
+def test_verify_quad_rejects_oversized_table(run_cli):
+    for fmt in ("plain", "csv", "json"):
+        code, out, err = run_cli(
+            "verify", "--max-order", "256", "--oracle", "quad",
+            "--panels", "1074", "--quad-degree", "128", "--format", fmt,
+        )
+        assert (code, out) == (1, "")
+        assert "cells exceeds the configured maximum" in err
+
+
 def test_verify_injected_failure_exits_two(run_cli, monkeypatch):
     true_entry = exactmoments.entry
 

@@ -1,4 +1,6 @@
 import math
+import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +125,44 @@ def test_gram_float_is_correctly_rounded():
     for n in range(17):
         for m in range(17):
             assert gram.entries[n][m] == float(entry(n, m))
+
+
+def _bits(rows):
+    return [[struct.pack("<d", v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("size", [*range(65), 255, 256, 362, 1024])
+def test_gram_float_is_bit_identical_to_rounded_exact_gram(size):
+    # the reference rounds every cell of the exact Gram with float(Fraction)
+    exact = gram_exact(size, max_order=size)
+    reference = [[float(v) for v in row] for row in exact.entries]
+    gram = gram_float(size, max_order=size)
+    assert (gram.order, gram.mode) == (size, "float")
+    assert type(gram.entries) is list
+    assert all(type(row) is list for row in gram.entries)
+    assert all(type(v) is float for row in gram.entries for v in row)
+    assert _bits(gram.entries) == _bits(reference)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gram_float_rejects_size_before_allocating():
+    for call in (lambda: gram_float(257), lambda: gram_float(10**6, max_order=10**5)):
+        peak = _traced_peak(lambda: pytest.raises(OrderLimitError, call))
+        assert peak < 2**20
+
+
+def test_gram_float_memory_stays_below_a_fraction_matrix():
+    # a (size+1)**2 Fraction matrix behind the floats peaks at about 81 MiB
+    peak = _traced_peak(lambda: gram_float(1024, max_order=1024))
+    assert peak < 64 * 2**20
 
 
 def test_gram_float_point_values():

@@ -145,6 +145,26 @@ def test_quad_oracle_order_bounds():
     assert math.isfinite(quad_entry_oracle(300, 0, max_order=300))
 
 
+def test_quad_table_is_bounded_before_anything_is_built(monkeypatch):
+    rule = gauss_legendre_rule(128)
+    deep = dyadic_panels(1024)
+    # (31 + 1) x 1024 x 128 cells is exactly the cap
+    assert 32 * 1024 * 128 == oracles.MAX_QUAD_TABLE_CELLS
+    assert math.isfinite(quad_entry_oracle(31, 0, deep, rule))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built a table above the cap")
+
+    monkeypatch.setattr(oracles, "_panel_grid", unreachable)
+    monkeypatch.setattr(oracles, "shifted_legendre_table", unreachable)
+    with pytest.raises(OrderLimitError, match="cells"):
+        quad_entry_oracle(32, 0, deep, rule)
+    with pytest.raises(OrderLimitError, match="33 orders x 1024 panels x 128 nodes"):
+        verify_range(32, "quad", panels=deep, rule=rule)
+    with pytest.raises(OrderLimitError, match="cells"):
+        verify_range(256, "quad", panels=dyadic_panels(1074), rule=rule)
+
+
 def test_quad_oracle_stable_under_panel_refinement():
     coarse = dyadic_panels(64)
     fine = dyadic_panels(128)
