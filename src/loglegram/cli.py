@@ -71,12 +71,6 @@ def _emit(text: str, out_path) -> None:
             raise _UsageError(f"cannot write {out_path}: {exc}") from exc
 
 
-def render_gram_json(gram) -> str:
-    """Canonical JSON form of a Gram matrix; reused by the round-trip test."""
-    rows = [[_json_cell(v) for v in row] for row in gram.entries]
-    return _dump_json({"size": gram.order, "mode": gram.mode, "entries": rows})
-
-
 def _cmd_entry(args) -> int:
     value = exactmoments.entry(args.n, args.m, max_order=args.max_order_cap)
     if not args.exact:
@@ -97,7 +91,8 @@ def _cmd_gram(args) -> int:
     else:
         gram = exactmoments.gram_float(args.size, max_order=args.max_order_cap)
     if args.format == "json":
-        text = render_gram_json(gram)
+        rows = [[_json_cell(v) for v in row] for row in gram.entries]
+        text = _dump_json({"size": gram.order, "mode": gram.mode, "entries": rows})
     else:
         cells = [[_format_value(v) for v in row] for row in gram.entries]
         if args.format == "csv":
@@ -156,6 +151,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_expand_log(args) -> int:
+    if args.max_order_cap is not None:
+        raise _UsageError("expand-log takes no --max-order-cap")
     report = analysis.expansion_l2_error(args.order)
     coeffs = [float(c) for c in report.coefficients]
     if args.format == "json":

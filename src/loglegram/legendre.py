@@ -20,8 +20,9 @@ from math import comb
 from .errors import OrderLimitError
 
 #: Default ceiling on polynomial orders accepted by public entry points.
-#: Coefficient vectors grow like 4**n, so the ceiling keeps misuse from
-#: turning into an accidental memory grab; callers may override per call.
+#: Coefficient vectors grow like (3 + 2*sqrt(2))**n ~ 5.83**n, so the
+#: ceiling keeps misuse from turning into an accidental memory grab;
+#: callers may override per call.
 MAX_ORDER = 256
 
 __all__ = [

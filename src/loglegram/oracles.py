@@ -3,8 +3,9 @@
 Two oracles, sharing no formula with :mod:`loglegram.exactmoments`:
 
 * an exact symbolic one: expand P_n(2x-1) P_m(2x-1) in the monomial
-  basis with integer coefficients and integrate term by term against
-  the log moments  integral x**k log(x) dx on [0, 1]  =  -1/(k+1)**2;
+  basis with integer coefficients and integrate against the log moments
+  integral x**k log(x) dx on [0, 1]  =  -1/(k+1)**2, as one integer sum
+  over the common denominator lcm(1..n+m+1)**2;
 
 * a floating one: panel-by-panel Gauss-Legendre quadrature on a dyadic
   mesh graded toward the logarithmic singularity at x = 0.  On each
@@ -52,8 +53,8 @@ __all__ = [
     "verify_range",
 ]
 
-#: Cap on the exact oracle; product coefficients reach ~16**n scale and
-#: the cap keeps a full verification sweep interactive.
+#: Cap on the exact oracle; product coefficients reach ~34**n scale
+#: (5.83**n squared) and the cap keeps a full verification sweep interactive.
 EXACT_ORACLE_MAX_ORDER = 64
 
 #: Cap on exact-mode verification sweeps (the acceptance envelope).
@@ -85,8 +86,10 @@ def exact_entry_oracle(n: int, m: int) -> Fraction:
     """N[n, m] by exact monomial expansion, independent of the closed forms.
 
     Convolves the integer coefficient vectors of P_n(2x-1) and
-    P_m(2x-1), then integrates the product term by term against the
-    exact log moments.
+    P_m(2x-1), then integrates the product against the log moments
+    -1/(k+1)**2, k <= n+m, as one integer sum over the common
+    denominator big = lcm(1..n+m+1)**2, of which each moment is the
+    whole multiple -(big // (k+1)**2) / big.
     """
     check_order(n, EXACT_ORACLE_MAX_ORDER, name="n")
     check_order(m, EXACT_ORACLE_MAX_ORDER, name="m")
@@ -96,9 +99,8 @@ def exact_entry_oracle(n: int, m: int) -> Fraction:
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             conv[i + j] += ai * bj
-    return sum(
-        (c * monomial_log_moment(k) for k, c in enumerate(conv) if c), Fraction(0)
-    )
+    big = math.lcm(*range(1, n + m + 2)) ** 2
+    return Fraction(-sum(c * (big // (k + 1) ** 2) for k, c in enumerate(conv)), big)
 
 
 @dataclass(frozen=True)
@@ -183,17 +185,8 @@ def shifted_legendre_table(x: np.ndarray, n_max: int) -> np.ndarray:
     return table
 
 
-def _panel_grid(
-    panels: PanelDecomposition | None = None, rule: QuadratureRule | None = None
-):
-    """Map the rule onto every panel; returns flat node and weight arrays.
-
-    ``None`` selects the default mesh and the default-degree rule.
-    """
-    if panels is None:
-        panels = dyadic_panels()
-    if rule is None:
-        rule = gauss_legendre_rule(DEFAULT_QUAD_DEGREE)
+def _panel_grid(panels: PanelDecomposition, rule: QuadratureRule):
+    """Map the rule onto every panel; returns flat node and weight arrays."""
     his = panels.breakpoints[:-1]
     los = panels.breakpoints[1:]
     mid = 0.5 * (his + los)
@@ -212,17 +205,20 @@ def _quad_kernel(
 
     The grid, log(x) and the recurrence table are built once; both
     ``quad_entry_oracle`` and the quad sweep of ``verify_range`` call the
-    returned function, so their values agree bit for bit.  Raises
-    OrderLimitError, before allocating anything, when the table would
-    exceed MAX_QUAD_TABLE_CELLS.
+    returned function, so their values agree bit for bit.  ``None``
+    selects the default mesh and rule.  Raises OrderLimitError, before
+    the grid or the table is built, when the table would exceed
+    MAX_QUAD_TABLE_CELLS.
     """
-    num_panels = DEFAULT_NUM_PANELS if panels is None else panels.num_panels
-    degree = DEFAULT_QUAD_DEGREE if rule is None else rule.degree
-    cells = (n_max + 1) * num_panels * degree
+    if panels is None:
+        panels = dyadic_panels()
+    if rule is None:
+        rule = gauss_legendre_rule(DEFAULT_QUAD_DEGREE)
+    cells = (n_max + 1) * panels.num_panels * rule.degree
     if cells > MAX_QUAD_TABLE_CELLS:
         raise OrderLimitError(
-            f"quadrature table of {n_max + 1} orders x {num_panels} panels x "
-            f"{degree} nodes = {cells} cells exceeds the configured maximum "
+            f"quadrature table of {n_max + 1} orders x {panels.num_panels} panels x "
+            f"{rule.degree} nodes = {cells} cells exceeds the configured maximum "
             f"{MAX_QUAD_TABLE_CELLS}"
         )
     x, w = _panel_grid(panels, rule)
@@ -313,7 +309,8 @@ def verify_range(
     """Check the closed forms against an oracle on all pairs up to max_order.
 
     ``mode`` selects the oracle: "exact" demands perfect rational
-    equality against the monomial oracle (max_order capped at 40);
+    equality against the monomial oracle (max_order capped at
+    VERIFY_EXACT_MAX_ORDER, which ``max_order_cap`` may not override);
     "quad" accepts relative deviation <= QUAD_REL_TOL, or absolute
     deviation <= QUAD_ABS_TOL once the value underflows that scale.
     Failures are recorded in the report, never raised.
@@ -327,6 +324,8 @@ def verify_range(
 
     if mode not in ("exact", "quad"):
         raise ValueError(f"mode must be 'exact' or 'quad', got {mode!r}")
+    if mode == "exact" and max_order_cap is not None:
+        raise ValueError("max_order_cap applies to quad sweeps only")
     cap = VERIFY_EXACT_MAX_ORDER if mode == "exact" else max_order_cap
     check_order(max_order, cap, name="max_order")
 

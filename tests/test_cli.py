@@ -167,6 +167,16 @@ def test_verify_quad_rejects_oversized_table(run_cli):
         assert "cells exceeds the configured maximum" in err
 
 
+def test_verify_exact_refuses_max_order_cap(run_cli):
+    for fmt in ("plain", "csv", "json"):
+        code, out, err = run_cli(
+            "verify", "--max-order", "5", "--oracle", "exact",
+            "--max-order-cap", "50", "--format", fmt,
+        )
+        assert (code, out) == (1, "")
+        assert "quad sweeps only" in err
+
+
 def test_verify_injected_failure_exits_two(run_cli, monkeypatch):
     true_entry = exactmoments.entry
 
@@ -218,6 +228,16 @@ def test_expand_log_order_cap(run_cli):
     assert code == 1
     assert out == ""
     assert "exceeds" in err
+
+
+def test_expand_log_refuses_max_order_cap(run_cli):
+    for order, cap in (("3", "1"), ("600", "1000")):
+        for fmt in ("plain", "csv", "json"):
+            code, out, err = run_cli(
+                "expand-log", order, "--max-order-cap", cap, "--format", fmt
+            )
+            assert (code, out) == (1, "")
+            assert "no --max-order-cap" in err
 
 
 def test_expand_log_csv(run_cli):

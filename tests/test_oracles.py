@@ -9,6 +9,7 @@ import pytest
 
 from loglegram import exactmoments, oracles
 from loglegram.errors import OrderLimitError
+from loglegram.legendre import coeffs_exact
 from loglegram.oracles import (
     dyadic_panels,
     exact_entry_oracle,
@@ -35,6 +36,26 @@ def test_exact_oracle_point_values():
     assert exact_entry_oracle(2, 2) == Fraction(-41, 150)
     assert exact_entry_oracle(2, 1) == Fraction(1, 4)
     assert exact_entry_oracle(0, 3) == Fraction(1, 12)
+
+
+def test_exact_oracle_matches_fraction_term_sum():
+    # reference: one Fraction per monomial term, each moment taken from
+    # monomial_log_moment, so the oracle's integer weights big // (k+1)**2
+    # are tied to the public moments
+    def term_sum(n, m):
+        a, b = coeffs_exact(n).coeffs, coeffs_exact(m).coeffs
+        conv = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                conv[i + j] += ai * bj
+        return sum(
+            (c * monomial_log_moment(k) for k, c in enumerate(conv) if c), Fraction(0)
+        )
+
+    pairs = [(n, m) for n in range(25) for m in range(25)]
+    pairs += [(64, m) for m in range(65)]
+    for n, m in pairs:
+        assert exact_entry_oracle(n, m) == term_sum(n, m), (n, m)
 
 
 def test_exact_oracle_cap():
@@ -113,7 +134,7 @@ def test_dyadic_panels_grading():
 def test_dyadic_panels_reject_underflowing_truncation_point():
     deepest = dyadic_panels(oracles.MAX_NUM_PANELS)
     assert deepest.truncation_point == 2.0**-1074 > 0.0
-    x, _ = oracles._panel_grid(deepest)
+    x, _ = oracles._panel_grid(deepest, gauss_legendre_rule(32))
     assert np.all(x > 0.0)
     for num_panels in (1075, 2000):
         with pytest.raises(ValueError, match="underflows"):
@@ -123,7 +144,7 @@ def test_dyadic_panels_reject_underflowing_truncation_point():
 def test_table_matches_scalar_evaluation():
     from loglegram.legendre import eval_batch
 
-    grid, _ = oracles._panel_grid()
+    grid, _ = oracles._panel_grid(dyadic_panels(), gauss_legendre_rule(32))
     x = np.concatenate([[0.0, 0.123, 0.5, 0.875, 1.0], grid])
     table = shifted_legendre_table(x, 24)
     for j, xj in enumerate(x):
@@ -209,6 +230,12 @@ def test_verify_caps():
         verify_range(257, "quad")
     with pytest.raises(ValueError):
         verify_range(5, "fancy")
+
+
+def test_verify_exact_refuses_max_order_cap():
+    # exact sweeps always stop at VERIFY_EXACT_MAX_ORDER, so a cap cannot be honoured
+    with pytest.raises(ValueError, match="quad sweeps only"):
+        verify_range(5, "exact", max_order_cap=50)
 
 
 def test_verify_reports_injected_failure():
