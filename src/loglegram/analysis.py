@@ -59,7 +59,10 @@ def bilinear_log_form(a, b, gram: GramMatrix):
             f"gram matrix of order {gram.order} is too small for coefficient "
             f"vectors of lengths {len(a)} and {len(b)}"
         )
-    total = 0
+    if gram.mode == "exact" and not any(isinstance(v, float) for v in a + b):
+        total = Fraction(0)
+    else:
+        total = 0.0
     for n, an in enumerate(a):
         if not an:
             continue

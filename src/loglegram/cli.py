@@ -3,7 +3,12 @@
 Subcommands: entry, gram, verify, expand-log, bilinear.  Data goes to
 stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage or input
 error, 2 verification failure, 3 numerical failure (a non-finite value
-reaching a serializer).
+reaching a serializer, in any format).
+
+Each subcommand returns its whole stdout text and exit code; ``main``
+alone writes that text, once and after everything else has succeeded, so
+a failure leaves stdout empty.  A reader that closes the pipe early does
+not change the exit code.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -25,10 +31,6 @@ EXIT_NUMERICAL = 3
 __all__ = ["main", "run"]
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _NumericalError(Exception):
     pass
 
@@ -37,14 +39,17 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad input; remap to the exit-code
     # contract (1) by raising instead.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _format_value(value) -> str:
     """Exact values as "p/q" with explicit denominator, floats as repr."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    return repr(float(value))
+    value = float(value)
+    if not math.isfinite(value):
+        raise _NumericalError(f"non-finite value {value!r} cannot be serialized")
+    return repr(value)
 
 
 def _json_cell(value):
@@ -60,60 +65,42 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _UsageError(f"cannot write {out_path}: {exc}") from exc
-
-
-def _cmd_entry(args) -> int:
+def _cmd_entry(args) -> tuple[str, int]:
     value = exactmoments.entry(args.n, args.m, max_order=args.max_order_cap)
     if not args.exact:
         value = float(value)
     if args.format == "json":
         mode = "exact" if args.exact else "float"
-        sys.stdout.write(
-            _dump_json({"n": args.n, "m": args.m, "mode": mode, "value": _json_cell(value)})
-        )
+        text = _dump_json({"n": args.n, "m": args.m, "mode": mode, "value": _json_cell(value)})
     else:
-        sys.stdout.write(_format_value(value) + "\n")
-    return EXIT_OK
+        text = _format_value(value) + "\n"
+    return text, EXIT_OK
 
 
-def _cmd_gram(args) -> int:
+def _cmd_gram(args) -> tuple[str, int]:
     if args.exact:
         gram = exactmoments.gram_exact(args.size, max_order=args.max_order_cap)
     else:
         gram = exactmoments.gram_float(args.size, max_order=args.max_order_cap)
     if args.format == "json":
         rows = [[_json_cell(v) for v in row] for row in gram.entries]
-        text = _dump_json({"size": gram.order, "mode": gram.mode, "entries": rows})
-    else:
-        cells = [[_format_value(v) for v in row] for row in gram.entries]
-        if args.format == "csv":
-            text = "".join(",".join(row) + "\n" for row in cells)
-        else:
-            width = max(len(c) for row in cells for c in row)
-            text = "".join(
-                "  ".join(c.rjust(width) for c in row) + "\n" for row in cells
-            )
-    _emit(text, args.out)
-    return EXIT_OK
+        return _dump_json({"size": gram.order, "mode": gram.mode, "entries": rows}), EXIT_OK
+    cells = [[_format_value(v) for v in row] for row in gram.entries]
+    if args.format == "csv":
+        return "".join(",".join(row) + "\n" for row in cells), EXIT_OK
+    width = max(len(c) for row in cells for c in row)
+    return "".join("  ".join(c.rjust(width) for c in row) + "\n" for row in cells), EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    kwargs = {}
-    if args.oracle == "quad":
-        kwargs["panels"] = oracles.dyadic_panels(args.panels)
-        kwargs["rule"] = oracles.gauss_legendre_rule(args.quad_degree)
+def _cmd_verify(args) -> tuple[str, int]:
     report = oracles.verify_range(
-        args.max_order, args.oracle, max_order_cap=args.max_order_cap, **kwargs
+        args.max_order,
+        args.oracle,
+        panels=None if args.panels is None else oracles.dyadic_panels(args.panels),
+        rule=None if args.quad_degree is None else oracles.gauss_legendre_rule(args.quad_degree),
+        max_order_cap=args.max_order_cap,
     )
+    code = EXIT_OK if report.passed else EXIT_VERIFY_FAILED
     if args.format == "json":
         payload = {
             "mode": report.mode,
@@ -126,55 +113,46 @@ def _cmd_verify(args) -> int:
         if report.mode == "quad":
             payload["worst_abs"] = _json_cell(report.worst_abs)
             payload["worst_rel"] = _json_cell(report.worst_rel)
-        sys.stdout.write(_dump_json(payload))
-    elif args.format == "csv":
+        return _dump_json(payload), code
+    lines = []
+    if args.format == "csv":
         for c in report.checks:
             status = "pass" if c.passed else "fail"
             if report.mode == "quad":
-                sys.stdout.write(
-                    f"{c.n},{c.m},{status},{c.abs_err!r},{c.rel_err!r}\n"
-                )
+                lines.append(f"{c.n},{c.m},{status},{c.abs_err!r},{c.rel_err!r}\n")
             else:
-                sys.stdout.write(f"{c.n},{c.m},{status}\n")
+                lines.append(f"{c.n},{c.m},{status}\n")
     else:
         if report.mode == "exact":
-            sys.stdout.write(f"{report.num_passed}/{report.num_pairs} pairs exact\n")
+            lines.append(f"{report.num_passed}/{report.num_pairs} pairs exact\n")
         else:
-            sys.stdout.write(
+            lines.append(
                 f"{report.num_passed}/{report.num_pairs} pairs within tolerance "
                 f"(rel {oracles.QUAD_REL_TOL:g}, abs {oracles.QUAD_ABS_TOL:g}); "
                 f"worst abs {report.worst_abs:.3e}, worst rel {report.worst_rel:.3e}\n"
             )
-        for c in report.failures:
-            sys.stdout.write(f"FAIL ({c.n},{c.m})\n")
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+        lines.extend(f"FAIL ({c.n},{c.m})\n" for c in report.failures)
+    return "".join(lines), code
 
 
-def _cmd_expand_log(args) -> int:
-    if args.max_order_cap is not None:
-        raise _UsageError("expand-log takes no --max-order-cap")
+def _cmd_expand_log(args) -> tuple[str, int]:
     report = analysis.expansion_l2_error(args.order)
     coeffs = [float(c) for c in report.coefficients]
     if args.format == "json":
-        sys.stdout.write(
-            _dump_json(
-                {
-                    "order": report.order,
-                    "coefficients": [_json_cell(c) for c in coeffs],
-                    "l2_error": _json_cell(report.l2_error),
-                }
-            )
+        text = _dump_json(
+            {
+                "order": report.order,
+                "coefficients": [_json_cell(c) for c in coeffs],
+                "l2_error": _json_cell(report.l2_error),
+            }
         )
     elif args.format == "csv":
-        for n, c in enumerate(coeffs):
-            sys.stdout.write(f"{n},{c!r}\n")
-        sys.stdout.write(f"l2_error,{report.l2_error!r}\n")
+        text = "".join(f"{n},{c!r}\n" for n, c in enumerate(coeffs))
+        text += f"l2_error,{report.l2_error!r}\n"
     else:
-        sys.stdout.write(
-            "coefficients: " + ", ".join(repr(c) for c in coeffs) + "\n"
-        )
-        sys.stdout.write(f"l2_error: {report.l2_error!r}\n")
-    return EXIT_OK
+        text = "coefficients: " + ", ".join(repr(c) for c in coeffs) + "\n"
+        text += f"l2_error: {report.l2_error!r}\n"
+    return text, EXIT_OK
 
 
 def _read_coeff_file(path):
@@ -188,7 +166,7 @@ def _read_coeff_file(path):
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     values = []
     saw_fraction = saw_decimal = False
     for lineno, raw in enumerate(lines, start=1):
@@ -208,22 +186,19 @@ def _read_coeff_file(path):
                 values.append(as_float)
                 saw_decimal = True
         except (ValueError, ZeroDivisionError) as exc:
-            raise _UsageError(f"{path}:{lineno}: unparseable value {line!r}") from exc
+            raise ValueError(f"{path}:{lineno}: unparseable value {line!r}") from exc
     if not values:
-        raise _UsageError(f"{path}: no coefficient values found")
+        raise ValueError(f"{path}: no coefficient values found")
     if saw_fraction and saw_decimal:
-        raise _UsageError(f"{path}: mixes fraction and decimal lines")
+        raise ValueError(f"{path}: mixes fraction and decimal lines")
     return values, not saw_decimal
 
 
-def _cmd_bilinear(args) -> int:
+def _cmd_bilinear(args) -> tuple[str, int]:
     a, a_exact = _read_coeff_file(args.a_file)
     b, b_exact = _read_coeff_file(args.b_file)
-    size = args.gram_size
-    if size is None:
-        size = max(len(a), len(b)) - 1
-    exact = a_exact and b_exact
-    if exact:
+    size = max(len(a), len(b)) - 1
+    if a_exact and b_exact:
         gram = exactmoments.gram_exact(size, max_order=args.max_order_cap)
     else:
         gram = exactmoments.gram_float(size, max_order=args.max_order_cap)
@@ -231,10 +206,8 @@ def _cmd_bilinear(args) -> int:
         b = [float(v) for v in b]
     value = analysis.bilinear_log_form(a, b, gram)
     if args.format == "json":
-        sys.stdout.write(_dump_json({"mode": gram.mode, "value": _json_cell(value)}))
-    else:
-        sys.stdout.write(_format_value(value) + "\n")
-    return EXIT_OK
+        return _dump_json({"mode": gram.mode, "value": _json_cell(value)}), EXIT_OK
+    return _format_value(value) + "\n", EXIT_OK
 
 
 def _int_arg(minimum: int):
@@ -253,13 +226,15 @@ def _int_arg(minimum: int):
     return parse
 
 
-def _add_common(parser) -> None:
+def _add_common(parser, *, max_order_cap=True) -> None:
     parser.add_argument(
         "--format",
         choices=("plain", "csv", "json"),
         default="plain",
         help="output format (default: plain)",
     )
+    if not max_order_cap:
+        return
     parser.add_argument(
         "--max-order-cap",
         type=_int_arg(0),
@@ -299,32 +274,27 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--panels",
         type=_int_arg(1),
-        default=oracles.DEFAULT_NUM_PANELS,
-        help="dyadic panel count for the quad oracle",
+        help=f"dyadic panel count, quad oracle only (default: {oracles.DEFAULT_NUM_PANELS})",
     )
     p.add_argument(
         "--quad-degree",
         type=_int_arg(1),
-        default=oracles.DEFAULT_QUAD_DEGREE,
-        help="Gauss-Legendre nodes per panel for the quad oracle",
+        help=(
+            "Gauss-Legendre nodes per panel, quad oracle only "
+            f"(default: {oracles.DEFAULT_QUAD_DEGREE})"
+        ),
     )
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("expand-log", help="shifted Legendre expansion of log(x)")
     p.add_argument("order", type=_int_arg(0))
-    _add_common(p)
+    _add_common(p, max_order_cap=False)
     p.set_defaults(func=_cmd_expand_log)
 
     p = sub.add_parser("bilinear", help="evaluate a' N b from coefficient files")
     p.add_argument("a_file")
     p.add_argument("b_file")
-    p.add_argument(
-        "--gram-size",
-        type=_int_arg(0),
-        default=None,
-        help="matrix order (default: inferred from the files)",
-    )
     _add_common(p)
     p.set_defaults(func=_cmd_bilinear)
 
@@ -332,20 +302,36 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        text, code = args.func(args)
+        out = getattr(args, "out", None)
+        if out is not None:
+            try:
+                with open(out, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValueError(f"cannot write {out}: {exc}") from exc
+            return code
     except _NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the flush at
+        # interpreter exit cannot raise again, and keep the command's code.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

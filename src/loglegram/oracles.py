@@ -310,7 +310,8 @@ def verify_range(
 
     ``mode`` selects the oracle: "exact" demands perfect rational
     equality against the monomial oracle (max_order capped at
-    VERIFY_EXACT_MAX_ORDER, which ``max_order_cap`` may not override);
+    VERIFY_EXACT_MAX_ORDER; passing ``max_order_cap``, ``panels`` or
+    ``rule``, which it cannot honour, raises ValueError);
     "quad" accepts relative deviation <= QUAD_REL_TOL, or absolute
     deviation <= QUAD_ABS_TOL once the value underflows that scale.
     Failures are recorded in the report, never raised.
@@ -324,8 +325,9 @@ def verify_range(
 
     if mode not in ("exact", "quad"):
         raise ValueError(f"mode must be 'exact' or 'quad', got {mode!r}")
-    if mode == "exact" and max_order_cap is not None:
-        raise ValueError("max_order_cap applies to quad sweeps only")
+    for name, value in (("max_order_cap", max_order_cap), ("panels", panels), ("rule", rule)):
+        if mode == "exact" and value is not None:
+            raise ValueError(f"{name} applies to quad sweeps only")
     cap = VERIFY_EXACT_MAX_ORDER if mode == "exact" else max_order_cap
     check_order(max_order, cap, name="max_order")
 

@@ -117,6 +117,22 @@ def test_bilinear_mixed_inputs_promote_to_float():
     assert isinstance(value, float)
 
 
+def test_bilinear_zero_vector_keeps_the_mode():
+    # a zero form skips every term, so its type comes from the inputs alone
+    cases = (
+        ([0, 0], [Fraction(1, 2)], gram_exact(1), Fraction),
+        ([Fraction(1)], [0], gram_exact(1), Fraction),
+        ([0.0, 0.0], [Fraction(1)], gram_exact(1), float),
+        ([Fraction(0)], [0.5], gram_exact(1), float),
+        ([Fraction(1)], [0], gram_float(1), float),
+        ([0.0], [0.0], gram_float(1), float),
+    )
+    for a, b, gram, kind in cases:
+        value = bilinear_log_form(a, b, gram)
+        assert value == 0
+        assert type(value) is kind, (a, b, gram.mode)
+
+
 def test_bilinear_rejects_undersized_gram():
     gram = gram_exact(1)
     with pytest.raises(OrderLimitError):

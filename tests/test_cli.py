@@ -1,5 +1,8 @@
+import ast
 import json
+import pathlib
 import random
+import subprocess
 from fractions import Fraction
 
 import pytest
@@ -237,7 +240,7 @@ def test_expand_log_refuses_max_order_cap(run_cli):
                 "expand-log", order, "--max-order-cap", cap, "--format", fmt
             )
             assert (code, out) == (1, "")
-            assert "no --max-order-cap" in err
+            assert "unrecognized arguments: --max-order-cap" in err
 
 
 def test_expand_log_csv(run_cli):
@@ -307,28 +310,116 @@ def test_bilinear_missing_file(run_cli, tmp_path):
     assert "cannot read" in err
 
 
-def test_bilinear_explicit_gram_size(run_cli, tmp_path):
+def test_bilinear_zero_vector_stays_exact(run_cli, tmp_path):
+    a = _write(tmp_path / "zero.txt", "0\n0\n")
+    b = _write(tmp_path / "b.txt", "1/2\n3\n")
+    expected = {"plain": "0/1\n", "csv": "0/1\n", "json": '{"mode":"exact","value":"0/1"}\n'}
+    for fmt, want in expected.items():
+        assert run_cli("bilinear", a, b, "--format", fmt) == (0, want, "")
+
+
+def test_bilinear_refuses_gram_size(run_cli, tmp_path):
     a = _write(tmp_path / "a.txt", "0\n0\n1\n")
-    b = _write(tmp_path / "b.txt", "0\n1\n")
-    code, out, _ = run_cli("bilinear", a, b, "--gram-size", "5")
-    assert (code, out) == (0, "1/4\n")
-    code, _, err = run_cli("bilinear", a, b, "--gram-size", "1")
-    assert code == 1
-    assert "too small" in err
+    code, out, err = run_cli("bilinear", a, a, "--gram-size", "5")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --gram-size" in err
 
 
-def test_non_finite_value_is_numerical_failure(run_cli, monkeypatch):
+def test_non_finite_value_is_numerical_failure(run_cli, monkeypatch, tmp_path):
+    huge = _write(tmp_path / "huge.txt", "1e308\n1e308\n")
+    for fmt in ("plain", "csv", "json"):
+        # a' N b overflows to -inf + inf = nan on valid, finite input
+        code, out, err = run_cli("bilinear", huge, huge, "--format", fmt)
+        assert (code, out) == (3, "")
+        assert "numerical failure" in err
+
     def broken(size, **kwargs):
         return GramMatrix(order=0, mode="float", entries=[[float("inf")]])
 
     monkeypatch.setattr(exactmoments, "gram_float", broken)
-    code, out, err = run_cli("gram", "0", "--format", "json")
-    assert code == 3
-    assert out == ""
-    assert "numerical failure" in err
+    for fmt in ("plain", "csv", "json"):
+        for args in (["gram", "0"], ["gram", "0", "--out", str(tmp_path / "g.txt")]):
+            code, out, err = run_cli(*args, "--format", fmt)
+            assert code == 3
+            assert out == ""
+            assert "numerical failure" in err
+    assert not (tmp_path / "g.txt").exists()
 
 
 def test_no_command_is_usage_error(run_cli):
     code, out, err = run_cli()
     assert code == 1
     assert out == ""
+
+
+def test_verify_exact_refuses_quad_settings(run_cli):
+    for flag in ("--panels", "--quad-degree"):
+        for fmt in ("plain", "csv", "json"):
+            code, out, err = run_cli(
+                "verify", "--max-order", "5", "--oracle", "exact", flag, "8",
+                "--format", fmt,
+            )
+            assert (code, out) == (1, "")
+            assert "quad sweeps only" in err
+
+
+def test_closed_pipe_keeps_exit_code(cli_process):
+    # about 1.5 MB of csv, far more than a pipe buffer holds
+    proc = cli_process(
+        "gram", "256", "--format", "csv", stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.read(16)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def test_closed_pipe_after_failed_verification_exits_two(run_cli, monkeypatch, tmp_path):
+    true_entry = exactmoments.entry
+
+    def perturbed(n, m, **kwargs):
+        value = true_entry(n, m, **kwargs)
+        return value + Fraction(1, 1000) if (n, m) == (2, 1) else value
+
+    class ClosedPipe:
+        # stands in for a stdout whose reader has exited
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    monkeypatch.setattr(exactmoments, "entry", perturbed)
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr("sys.stdout", ClosedPipe(fh.fileno()))
+        code, _, err = run_cli("verify", "--max-order", "5", "--oracle", "exact")
+    assert code == 2
+    assert err == ""
+
+
+def test_python_dash_m_runs_the_cli(cli_process):
+    proc = cli_process("entry", "2", "1", stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (0, b"0.25\n", b"")
+
+
+def test_only_main_writes_stdout():
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    main = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    writers = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "stdout"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "sys"
+    ]
+    assert writers
+    assert all(main.lineno <= line <= main.end_lineno for line in writers), writers

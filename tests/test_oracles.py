@@ -238,6 +238,14 @@ def test_verify_exact_refuses_max_order_cap():
         verify_range(5, "exact", max_order_cap=50)
 
 
+def test_verify_exact_refuses_quad_settings():
+    # the exact oracle uses neither a panel mesh nor a Gauss rule
+    with pytest.raises(ValueError, match="panels applies to quad sweeps only"):
+        verify_range(5, "exact", panels=dyadic_panels(8))
+    with pytest.raises(ValueError, match="rule applies to quad sweeps only"):
+        verify_range(5, "exact", rule=gauss_legendre_rule(8))
+
+
 def test_verify_reports_injected_failure():
     def perturbed(n, m):
         value = exactmoments.entry(n, m)
