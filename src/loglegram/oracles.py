@@ -14,8 +14,11 @@ Two oracles, sharing no formula with :mod:`loglegram.exactmoments`:
   geometrically; the tail [0, 2**-num_panels] is dropped, which costs
   at most eps * (1 + |log eps|) <= 1e-16 at the default truncation.
 
-``verify_range`` compares the closed forms from ``exactmoments``
-against either oracle and reports per-pair results.
+``verify_range`` compares the closed-form Gram from ``exactmoments``
+against either oracle on all pairs at once and reports per-pair results:
+the exact oracle's sums for every pair come from one integer product
+C H C^T, the quadrature for every pair from one symmetric product of the
+weighted recurrence table with itself.
 """
 
 from __future__ import annotations
@@ -201,14 +204,14 @@ def _quad_kernel(
     panels: PanelDecomposition | None = None,
     rule: QuadratureRule | None = None,
 ):
-    """Return (n, m) -> N[n, m] by quadrature, for every n, m <= n_max.
+    """Return (x, s), the panel nodes and s = sqrt(-w log x) at each node.
 
-    The grid, log(x) and the recurrence table are built once; both
-    ``quad_entry_oracle`` and the quad sweep of ``verify_range`` call the
-    returned function, so their values agree bit for bit.  ``None``
-    selects the default mesh and rule.  Raises OrderLimitError, before
-    the grid or the table is built, when the table would exceed
-    MAX_QUAD_TABLE_CELLS.
+    N[n, m] ~ -sum((P_n(2x-1) s) (P_m(2x-1) s)) for n, m <= n_max.  Every
+    node has weight w > 0 and 0 < x < 1, so the root is real.  Both
+    ``quad_entry_oracle`` and the quad sweep of ``verify_range`` take
+    their grid from here.  ``None`` selects the default mesh and rule.
+    Raises OrderLimitError, before the grid is built, when the
+    recurrence table of n_max + 1 rows would exceed MAX_QUAD_TABLE_CELLS.
     """
     if panels is None:
         panels = dyadic_panels()
@@ -222,13 +225,7 @@ def _quad_kernel(
             f"{MAX_QUAD_TABLE_CELLS}"
         )
     x, w = _panel_grid(panels, rule)
-    log_x = np.log(x)
-    table = shifted_legendre_table(x, n_max)
-
-    def value(n: int, m: int) -> float:
-        return float(np.dot(w, table[n] * table[m] * log_x))
-
-    return value
+    return x, np.sqrt(-w * np.log(x))
 
 
 def quad_entry_oracle(
@@ -244,11 +241,51 @@ def quad_entry_oracle(
     Sums w * P_n(2x-1) P_m(2x-1) log(x) over every panel node, with each
     panel mapped affinely from [-1, 1].  The dropped tail below the
     truncation point is bounded by eps * (1 + |log eps|), which is below
-    1e-16 for the default 64-panel mesh.
+    1e-16 for the default 64-panel mesh.  No table is stored: only rows
+    n and m of the recurrence are kept and weighted.
     """
     check_order(n, max_order, name="n")
     check_order(m, max_order, name="m")
-    return _quad_kernel(max(n, m), panels, rule)(n, m)
+    x, s = _quad_kernel(max(n, m), panels, rule)
+    rows = [p * s for k, p in enumerate(recurrence_sweep(max(n, m), x)) if k in (n, m)]
+    return -float(rows[0] @ rows[-1])  # one row, squared, when n == m
+
+
+def _quad_gram(
+    n_max: int, panels: PanelDecomposition | None, rule: QuadratureRule | None
+) -> np.ndarray:
+    """N[n, m] by quadrature for all n, m <= n_max, as one exactly symmetric array.
+
+    The recurrence table B is weighted by s in place and Q = -(B @ B.T)
+    is taken once: numpy hands the product of an array with its own
+    transpose to a symmetric BLAS product (syrk), which makes no copy of
+    the table and mirrors one triangle onto the other.
+    """
+    x, s = _quad_kernel(n_max, panels, rule)
+    table = shifted_legendre_table(x, n_max)
+    table *= s
+    products = table @ table.T
+    return np.negative(products, out=products)
+
+
+def _exact_sums(n_max: int):
+    """Return (S, big) with N[n, m] = -S[n, m] / big for all n, m <= n_max.
+
+    The exact oracle's integer sum for every pair at once: with C the
+    lower-triangular matrix of the ``coeffs_exact`` rows and
+    H[k, l] = big // (k+l+1)**2 over big = lcm(1..2*n_max+1)**2, the
+    oracle's sum is S = C H C^T, in Python integers.
+    """
+    size = n_max + 1
+    big = math.lcm(*range(1, 2 * n_max + 2)) ** 2
+    c = np.zeros((size, size), dtype=object)
+    for n in range(size):
+        c[n, : n + 1] = coeffs_exact(n).coeffs
+    h = np.array(
+        [[big // (k + l + 1) ** 2 for l in range(size)] for k in range(size)],
+        dtype=object,
+    )
+    return c @ h @ c.T, big
 
 
 @dataclass(frozen=True)
@@ -316,8 +353,15 @@ def verify_range(
     deviation <= QUAD_ABS_TOL once the value underflows that scale.
     Failures are recorded in the report, never raised.
 
+    The closed-form side is one Gram, ``gram_exact`` or ``gram_float``,
+    and each oracle evaluates all pairs in one matrix product.  Exact
+    pairs are compared by cross-multiplication; the quad sweep sums in
+    another order than ``quad_entry_oracle``, so the two agree to within
+    a few ulps of |N| <= 1, not bit for bit.
+
     ``entry_fn`` substitutes the closed-form side, which is the hook the
-    test suite uses to inject a perturbed entry and watch the sweep fail.
+    test suite uses to inject a perturbed entry and watch the sweep fail;
+    in exact mode it must return rationals (``numerator``/``denominator``).
     """
     # Imported here so the oracle paths above stay import-independent of
     # the module they are meant to check.
@@ -331,27 +375,36 @@ def verify_range(
     cap = VERIFY_EXACT_MAX_ORDER if mode == "exact" else max_order_cap
     check_order(max_order, cap, name="max_order")
 
-    if entry_fn is None:
+    rows, cols = (index.tolist() for index in np.tril_indices(max_order + 1))
 
-        def entry_fn(n, m):
-            return exactmoments.entry(n, m, max_order=max_order)
+    def closed_forms(build_gram):
+        # the closed side on every pair, in sweep order
+        if entry_fn is not None:
+            return [entry_fn(n, m) for n, m in zip(rows, cols)]
+        entries = build_gram(max_order, max_order=max_order).entries
+        return [entries[n][m] for n, m in zip(rows, cols)]
 
-    checks = []
     if mode == "exact":
-        for n in range(max_order + 1):
-            for m in range(n + 1):
-                ok = entry_fn(n, m) == exact_entry_oracle(n, m)
-                checks.append(PairCheck(n=n, m=m, passed=ok))
-    else:
-        quad = _quad_kernel(max_order, panels, rule)
-        for n in range(max_order + 1):
-            for m in range(n + 1):
-                approx = quad(n, m)
-                reference = float(entry_fn(n, m))
-                abs_err = abs(approx - reference)
-                rel_err = abs_err / abs(reference) if reference else math.inf
-                ok = rel_err <= QUAD_REL_TOL or abs_err <= QUAD_ABS_TOL
-                checks.append(
-                    PairCheck(n=n, m=m, passed=ok, abs_err=abs_err, rel_err=rel_err)
-                )
+        sums, big = _exact_sums(max_order)
+        # p/q == -S/big, cross-multiplied: no Fraction per pair
+        checks = [
+            PairCheck(n=n, m=m, passed=p.numerator * big == -sums[n, m] * p.denominator)
+            for n, m, p in zip(rows, cols, closed_forms(exactmoments.gram_exact))
+        ]
+        return VerificationReport(mode=mode, max_order=max_order, checks=checks)
+
+    # the table is freed on return, before the closed side and the checks
+    approx = _quad_gram(max_order, panels, rule)[rows, cols]
+    reference = np.array([float(v) for v in closed_forms(exactmoments.gram_float)])
+    # elementwise IEEE arithmetic rounds as the same Python float operations would
+    with np.errstate(all="ignore"):
+        abs_err = np.abs(approx - reference)
+        rel_err = np.where(reference != 0, abs_err / np.abs(reference), np.inf)
+    passed = (rel_err <= QUAD_REL_TOL) | (abs_err <= QUAD_ABS_TOL)
+    checks = [
+        PairCheck(n=n, m=m, passed=ok, abs_err=a, rel_err=r)
+        for n, m, ok, a, r in zip(
+            rows, cols, passed.tolist(), abs_err.tolist(), rel_err.tolist()
+        )
+    ]
     return VerificationReport(mode=mode, max_order=max_order, checks=checks)

@@ -144,15 +144,16 @@ def test_criterion_8_cli_contract(run_cli, monkeypatch):
     code, out, _ = run_cli("gram", "4", "--exact", "--format", "json")
     round_trip = code == 0 and cli._dump_json(json.loads(out)) == out
 
-    true_entry = exactmoments.entry
+    true_gram = exactmoments.gram_exact
 
-    def perturbed(n, m, **kwargs):
-        value = true_entry(n, m, **kwargs)
-        return value + Fraction(1, 10**9) if (n, m) == (4, 2) else value
+    def perturbed(size, **kwargs):
+        gram = true_gram(size, **kwargs)
+        gram.entries[4][2] += Fraction(1, 10**9)
+        return gram
 
-    monkeypatch.setattr(exactmoments, "entry", perturbed)
+    monkeypatch.setattr(exactmoments, "gram_exact", perturbed)
     inj_code, _, _ = run_cli("verify", "--max-order", "10", "--oracle", "exact")
-    monkeypatch.setattr(exactmoments, "entry", true_entry)
+    monkeypatch.setattr(exactmoments, "gram_exact", true_gram)
     clean_code, _, _ = run_cli("verify", "--max-order", "10", "--oracle", "exact")
 
     _report(

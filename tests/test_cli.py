@@ -181,15 +181,14 @@ def test_verify_exact_refuses_max_order_cap(run_cli):
 
 
 def test_verify_injected_failure_exits_two(run_cli, monkeypatch):
-    true_entry = exactmoments.entry
+    true_gram = exactmoments.gram_exact
 
-    def perturbed(n, m, **kwargs):
-        value = true_entry(n, m, **kwargs)
-        if (n, m) == (2, 1):
-            return value + Fraction(1, 1000)
-        return value
+    def perturbed(size, **kwargs):
+        gram = true_gram(size, **kwargs)
+        gram.entries[2][1] += Fraction(1, 1000)
+        return gram
 
-    monkeypatch.setattr(exactmoments, "entry", perturbed)
+    monkeypatch.setattr(exactmoments, "gram_exact", perturbed)
     code, out, _ = run_cli("verify", "--max-order", "5", "--oracle", "exact")
     assert code == 2
     assert "20/21 pairs exact" in out
@@ -377,11 +376,12 @@ def test_closed_pipe_keeps_exit_code(cli_process):
 
 
 def test_closed_pipe_after_failed_verification_exits_two(run_cli, monkeypatch, tmp_path):
-    true_entry = exactmoments.entry
+    true_gram = exactmoments.gram_exact
 
-    def perturbed(n, m, **kwargs):
-        value = true_entry(n, m, **kwargs)
-        return value + Fraction(1, 1000) if (n, m) == (2, 1) else value
+    def perturbed(size, **kwargs):
+        gram = true_gram(size, **kwargs)
+        gram.entries[2][1] += Fraction(1, 1000)
+        return gram
 
     class ClosedPipe:
         # stands in for a stdout whose reader has exited
@@ -394,7 +394,7 @@ def test_closed_pipe_after_failed_verification_exits_two(run_cli, monkeypatch, t
         def fileno(self):
             return self.fd
 
-    monkeypatch.setattr(exactmoments, "entry", perturbed)
+    monkeypatch.setattr(exactmoments, "gram_exact", perturbed)
     with open(tmp_path / "stdout", "w") as fh:
         monkeypatch.setattr("sys.stdout", ClosedPipe(fh.fileno()))
         code, _, err = run_cli("verify", "--max-order", "5", "--oracle", "exact")

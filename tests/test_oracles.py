@@ -2,6 +2,7 @@ import ast
 import inspect
 import math
 import pathlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -216,11 +217,56 @@ def test_verify_quad_single_pair():
     "panels, rule", [(None, None), (dyadic_panels(48), gauss_legendre_rule(16))]
 )
 def test_verify_quad_errors_are_the_single_oracle_errors(panels, rule):
+    # the sweep's one product and the single oracle's dot sum in different
+    # orders, so they agree to a few ulps of |N| <= 1, not bit for bit; the
+    # 16-node rule is out of its range above n + m of about 32 and fails there
     report = verify_range(20, "quad", panels=panels, rule=rule)
     assert report.num_pairs == 231
+    assert report.passed == (rule is None)
+    swept = oracles._quad_gram(20, panels, rule)
+    assert np.array_equal(swept, swept.T)
     for c in report.checks:
-        approx = quad_entry_oracle(c.n, c.m, panels, rule)
-        assert c.abs_err == abs(approx - float(exactmoments.entry(c.n, c.m)))
+        exact = float(exactmoments.entry(c.n, c.m))
+        single = quad_entry_oracle(c.n, c.m, panels, rule)
+        assert c.abs_err == abs(swept[c.n, c.m] - exact)
+        assert abs(swept[c.n, c.m] - single) <= 1e-15, (c.n, c.m)
+        err = abs(single - exact)
+        within = err <= oracles.QUAD_REL_TOL * abs(exact) or err <= oracles.QUAD_ABS_TOL
+        assert within == c.passed, (c.n, c.m)
+
+
+def test_verify_quad_peak_memory_is_the_table():
+    # the 128 x 8,192 table of a 128-node rule is 8 MiB; the closed side
+    # and the report are built after it is freed, so the sweep stays
+    # within the 9.6 MiB (+5 %) that the per-pair sweep needed
+    rule = gauss_legendre_rule(128)
+    verify_range(4, "quad", rule=rule)
+    tracemalloc.start()
+    try:
+        verify_range(127, "quad", rule=rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.6 * 1.05 * 2**20
+
+
+@pytest.mark.parametrize("mode", ["exact", "quad"])
+def test_verify_gram_side_is_the_entry_side(mode):
+    # the default closed side is one Gram; entry by entry gives the same report
+    max_order = 17 if mode == "exact" else 31
+    by_gram = verify_range(max_order, mode)
+    by_entry = verify_range(max_order, mode, entry_fn=exactmoments.entry)
+    assert by_gram.checks == by_entry.checks
+
+
+def test_exact_sums_are_the_single_oracle():
+    sums, big = oracles._exact_sums(40)
+    assert big == math.lcm(*range(1, 82)) ** 2
+    assert np.array_equal(sums, sums.T)
+    pairs = [(n, m) for n in range(41) for m in range(n + 1)]
+    assert len(pairs) == 861
+    for n, m in pairs:
+        assert Fraction(-sums[n, m], big) == exact_entry_oracle(n, m), (n, m)
 
 
 def test_verify_caps():
@@ -270,6 +316,9 @@ def test_oracles_are_structurally_independent():
         quad_entry_oracle,
         shifted_legendre_table,
         oracles._panel_grid,
+        oracles._quad_kernel,
+        oracles._quad_gram,
+        oracles._exact_sums,
         monomial_log_moment,
     ):
         source = inspect.getsource(func)
