@@ -84,14 +84,16 @@ def scaled_diagonal(n_max: int):
     """Yield (2n+1) N[n, n] for n = 0..n_max as exact running sums.
 
     The n-th value is -1 - 2 * sum_{j=1..n} diag_sum_term(j), so each
-    step costs one summand; ``entry_diag``, ``gram_exact`` and
+    step costs one summand, subtracted as 2 * diag_sum_term(j) =
+    1/((2j-1) j (2j+1)) without the summand's index check;
+    ``entry_diag``, ``gram_exact``, ``gram_float`` and
     ``analysis.diag_scaling_table`` all read their diagonals from here.
     The order is not validated here.
     """
     running = Fraction(-1)
     yield running
     for j in range(1, n_max + 1):
-        running -= 2 * diag_sum_term(j)
+        running -= Fraction(1, (2 * j - 1) * j * (2 * j + 1))
         yield running
 
 

@@ -15,17 +15,17 @@ Two oracles, sharing no formula with :mod:`loglegram.exactmoments`:
   at most eps * (1 + |log eps|) <= 1e-16 at the default truncation.
 
 ``verify_range`` compares the closed-form Gram from ``exactmoments``
-against either oracle on all pairs at once and reports per-pair results:
-the exact oracle's sums for every pair come from one integer product
-C H C^T, the quadrature for every pair from one symmetric product of the
-weighted recurrence table with itself.
+against either oracle on all pairs at once and reports per-pair results
+as arrays: the exact oracle's sums for every pair come from one integer
+product C H C^T, the quadrature for every pair from one symmetric
+product of the weighted recurrence table with itself.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -272,25 +272,37 @@ def _exact_sums(n_max: int):
     """Return (S, big) with N[n, m] = -S[n, m] / big for all n, m <= n_max.
 
     The exact oracle's integer sum for every pair at once: with C the
-    lower-triangular matrix of the ``coeffs_exact`` rows and
-    H[k, l] = big // (k+l+1)**2 over big = lcm(1..2*n_max+1)**2, the
-    oracle's sum is S = C H C^T, in Python integers.
+    lower-triangular matrix of the ``coeffs_exact`` rows and the Hankel
+    matrix H[k, l] = big // (k+l+1)**2 over big = lcm(1..2*n_max+1)**2,
+    the oracle's sum is S = C H C^T, in Python integers.  Row n of C is
+    zero past column n, so for m <= n only the leading (n+1) x (n+1)
+    blocks of C and H take part: S[n, :n+1] = C_n (C[n, :n+1] H_n) with
+    C_n, H_n those blocks.  The lower triangle is built row by row and
+    mirrored, so S is a full, exactly symmetric object array.
     """
     size = n_max + 1
     big = math.lcm(*range(1, 2 * n_max + 2)) ** 2
+    index = np.arange(size)
+    hankel = np.array([big // (j + 1) ** 2 for j in range(2 * size - 1)], dtype=object)
+    h = hankel[np.add.outer(index, index)]
     c = np.zeros((size, size), dtype=object)
     for n in range(size):
         c[n, : n + 1] = coeffs_exact(n).coeffs
-    h = np.array(
-        [[big // (k + l + 1) ** 2 for l in range(size)] for k in range(size)],
-        dtype=object,
-    )
-    return c @ h @ c.T, big
+    sums = np.empty((size, size), dtype=object)
+    for n in range(size):
+        sums[n, : n + 1] = c[: n + 1, : n + 1] @ (c[n, : n + 1] @ h[: n + 1, : n + 1])
+    rows, cols = np.tril_indices(size, -1)
+    sums[cols, rows] = sums[rows, cols]
+    return sums, big
 
 
 @dataclass(frozen=True)
 class PairCheck:
-    """Outcome of comparing one (n, m) pair against an oracle."""
+    """Outcome of comparing one (n, m) pair against an oracle.
+
+    ``n`` and ``m`` are Python ints, ``passed`` a bool and the errors
+    Python floats (None in exact sweeps), so a check serializes as is.
+    """
 
     n: int
     m: int
@@ -299,39 +311,81 @@ class PairCheck:
     rel_err: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """Results of a closed-form-vs-oracle sweep over 0 <= m <= n <= max_order."""
+    """Results of a closed-form-vs-oracle sweep over 0 <= m <= n <= max_order.
+
+    The results are held as read-only arrays over the pairs in sweep
+    order, the order of ``np.tril_indices(max_order + 1)``: the indices
+    ``n`` and ``m``, the per-pair outcome ``pair_passed`` and, in quad
+    sweeps, ``abs_err`` and ``rel_err`` (None in exact sweeps).  Every
+    summary is read from the arrays; ``failures`` builds a ``PairCheck``
+    for each failing pair only, and ``checks``, the full list, is built
+    on first read and cached.  Two reports are equal when their mode,
+    max_order and checks are.
+    """
 
     mode: str
     max_order: int
-    checks: list = field(default_factory=list)
+    n: np.ndarray
+    m: np.ndarray
+    pair_passed: np.ndarray
+    abs_err: np.ndarray | None = None
+    rel_err: np.ndarray | None = None
+
+    def __post_init__(self):
+        # the cached checks are read from these arrays, so they must not change
+        for array in (self.n, self.m, self.pair_passed, self.abs_err, self.rel_err):
+            if array is not None:
+                array.flags.writeable = False
+
+    def _pair_checks(self, index) -> list:
+        columns = [a[index].tolist() for a in (self.n, self.m, self.pair_passed)]
+        if self.abs_err is not None:
+            columns += [self.abs_err[index].tolist(), self.rel_err[index].tolist()]
+        return [PairCheck(*row) for row in zip(*columns)]
+
+    @functools.cached_property
+    def checks(self) -> list:
+        return self._pair_checks(slice(None))
+
+    def __eq__(self, other):
+        if not isinstance(other, VerificationReport):
+            return NotImplemented
+        mine = (self.mode, self.max_order, self.checks)
+        return mine == (other.mode, other.max_order, other.checks)
 
     @property
     def num_pairs(self) -> int:
-        return len(self.checks)
+        return self.n.size
 
     @property
     def num_passed(self) -> int:
-        return sum(1 for c in self.checks if c.passed)
+        return int(np.count_nonzero(self.pair_passed))
 
     @property
     def failures(self) -> list:
-        return [c for c in self.checks if not c.passed]
+        return self._pair_checks(np.flatnonzero(~self.pair_passed))
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return bool(self.pair_passed.all())
 
     @property
     def worst_abs(self) -> float | None:
-        errs = [c.abs_err for c in self.checks if c.abs_err is not None]
-        return max(errs) if errs else None
+        return None if self.abs_err is None else float(self.abs_err.max())
 
     @property
     def worst_rel(self) -> float | None:
-        errs = [c.rel_err for c in self.checks if c.rel_err is not None]
-        return max(errs) if errs else None
+        return None if self.rel_err is None else float(self.rel_err.max())
+
+    @property
+    def worst_pair(self) -> tuple[int, int] | None:
+        """(n, m) of the largest ``rel_err`` (the first such pair), None in exact sweeps."""
+        if self.rel_err is None:
+            return None
+        worst = int(self.rel_err.argmax())
+        return int(self.n[worst]), int(self.m[worst])
 
 
 def verify_range(
@@ -353,15 +407,18 @@ def verify_range(
     deviation <= QUAD_ABS_TOL once the value underflows that scale.
     Failures are recorded in the report, never raised.
 
-    The closed-form side is one Gram, ``gram_exact`` or ``gram_float``,
-    and each oracle evaluates all pairs in one matrix product.  Exact
-    pairs are compared by cross-multiplication; the quad sweep sums in
-    another order than ``quad_entry_oracle``, so the two agree to within
-    a few ulps of |N| <= 1, not bit for bit.
+    The closed-form side is one Gram, ``gram_exact`` or ``gram_float``
+    (the latter indexed as one array), and each oracle evaluates all
+    pairs in one matrix product.  Exact pairs are compared by
+    cross-multiplication; the quad sweep sums in another order than
+    ``quad_entry_oracle``, so the two agree to within a few ulps of
+    |N| <= 1, not bit for bit.  The report holds the per-pair results as
+    arrays and builds ``PairCheck`` objects only when asked.
 
-    ``entry_fn`` substitutes the closed-form side, which is the hook the
-    test suite uses to inject a perturbed entry and watch the sweep fail;
-    in exact mode it must return rationals (``numerator``/``denominator``).
+    ``entry_fn`` substitutes the closed-form side, pair by pair, which is
+    the hook the test suite uses to inject a perturbed entry and watch
+    the sweep fail; in exact mode it must return rationals
+    (``numerator``/``denominator``).
     """
     # Imported here so the oracle paths above stay import-independent of
     # the module they are meant to check.
@@ -375,36 +432,33 @@ def verify_range(
     cap = VERIFY_EXACT_MAX_ORDER if mode == "exact" else max_order_cap
     check_order(max_order, cap, name="max_order")
 
-    rows, cols = (index.tolist() for index in np.tril_indices(max_order + 1))
-
-    def closed_forms(build_gram):
-        # the closed side on every pair, in sweep order
-        if entry_fn is not None:
-            return [entry_fn(n, m) for n, m in zip(rows, cols)]
-        entries = build_gram(max_order, max_order=max_order).entries
-        return [entries[n][m] for n, m in zip(rows, cols)]
+    rows, cols = np.tril_indices(max_order + 1)
 
     if mode == "exact":
         sums, big = _exact_sums(max_order)
+        pairs = zip(rows.tolist(), cols.tolist())
+        if entry_fn is None:
+            entries = exactmoments.gram_exact(max_order, max_order=max_order).entries
+            closed = [entries[n][m] for n, m in pairs]
+        else:
+            closed = [entry_fn(n, m) for n, m in pairs]
         # p/q == -S/big, cross-multiplied: no Fraction per pair
-        checks = [
-            PairCheck(n=n, m=m, passed=p.numerator * big == -sums[n, m] * p.denominator)
-            for n, m, p in zip(rows, cols, closed_forms(exactmoments.gram_exact))
+        passed = [
+            p.numerator * big == -s * p.denominator for p, s in zip(closed, sums[rows, cols])
         ]
-        return VerificationReport(mode=mode, max_order=max_order, checks=checks)
+        return VerificationReport(mode, max_order, rows, cols, np.array(passed, dtype=bool))
 
-    # the table is freed on return, before the closed side and the checks
+    # the table is freed on return, before the closed side and the report
     approx = _quad_gram(max_order, panels, rule)[rows, cols]
-    reference = np.array([float(v) for v in closed_forms(exactmoments.gram_float)])
+    if entry_fn is None:
+        gram = exactmoments.gram_float(max_order, max_order=max_order)
+        reference = np.array(gram.entries)[rows, cols]
+    else:
+        pairs = zip(rows.tolist(), cols.tolist())
+        reference = np.array([float(entry_fn(n, m)) for n, m in pairs])
     # elementwise IEEE arithmetic rounds as the same Python float operations would
     with np.errstate(all="ignore"):
         abs_err = np.abs(approx - reference)
         rel_err = np.where(reference != 0, abs_err / np.abs(reference), np.inf)
     passed = (rel_err <= QUAD_REL_TOL) | (abs_err <= QUAD_ABS_TOL)
-    checks = [
-        PairCheck(n=n, m=m, passed=ok, abs_err=a, rel_err=r)
-        for n, m, ok, a, r in zip(
-            rows, cols, passed.tolist(), abs_err.tolist(), rel_err.tolist()
-        )
-    ]
-    return VerificationReport(mode=mode, max_order=max_order, checks=checks)
+    return VerificationReport(mode, max_order, rows, cols, passed, abs_err, rel_err)

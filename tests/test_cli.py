@@ -138,6 +138,20 @@ def test_verify_quad_json_and_flags(run_cli):
     assert payload["worst_rel"] <= 1e-10
 
 
+def test_verify_quad_json_lists_failures(run_cli):
+    # order 40 is past the default rule's range (n + m of about 70): the
+    # failing pairs must reach the payload as plain JSON integers
+    code, out, _ = run_cli(
+        "verify", "--max-order", "40", "--oracle", "quad", "--format", "json"
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert (payload["pairs"], payload["passed"], payload["ok"]) == (861, 833, False)
+    assert len(payload["failures"]) == 28
+    assert payload["failures"][0] == [36, 36]
+    assert cli._dump_json(payload) == out
+
+
 def test_verify_exact_over_cap(run_cli):
     code, out, err = run_cli("verify", "--max-order", "100", "--oracle", "exact")
     assert code == 1

@@ -259,6 +259,79 @@ def test_verify_gram_side_is_the_entry_side(mode):
     assert by_gram.checks == by_entry.checks
 
 
+SWEEPS = {
+    "exact-0": (0, "exact", {}),
+    "exact-5": (5, "exact", {}),
+    "exact-40": (40, "exact", {}),
+    "quad-0": (0, "quad", {}),
+    "quad-31": (31, "quad", {}),
+    "quad-20-48x16": (20, "quad", {"panels": dyadic_panels(48), "rule": gauss_legendre_rule(16)}),
+    "quad-256": (256, "quad", {}),  # out of the default rule's range: 31,858 failures
+}
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_report_summaries_are_lazy_and_match_the_checks(sweep, monkeypatch):
+    max_order, mode, settings = SWEEPS[sweep]
+    report = verify_range(max_order, mode, **settings)
+    built, pair_check = [], oracles.PairCheck
+
+    def counted(*args):
+        built.append(args)
+        return pair_check(*args)
+
+    monkeypatch.setattr(oracles, "PairCheck", counted)
+    summaries = (
+        report.num_pairs,
+        report.num_passed,
+        report.passed,
+        report.failures,
+        report.worst_abs,
+        report.worst_rel,
+        report.worst_pair,
+    )
+    num_pairs, num_passed, passed, failures, worst_abs, worst_rel, worst_pair = summaries
+    assert len(built) == len(failures)
+    assert "checks" not in vars(report)
+
+    checks = report.checks
+    assert report.checks is checks
+    assert len(built) == len(failures) + len(checks)
+    assert num_pairs == len(checks) == (max_order + 1) * (max_order + 2) // 2
+    assert num_passed == sum(c.passed for c in checks)
+    assert passed is all(c.passed for c in checks)
+    assert failures == [c for c in checks if not c.passed]
+    for c in checks + failures:
+        assert type(c.n) is int and type(c.m) is int and type(c.passed) is bool
+        errs = (c.abs_err, c.rel_err)
+        assert all(type(e) is float for e in errs) if mode == "quad" else errs == (None, None)
+    if mode == "exact":
+        assert (worst_abs, worst_rel, worst_pair) == (None, None, None)
+    else:
+        assert worst_abs == max(c.abs_err for c in checks)
+        assert worst_rel == max(c.rel_err for c in checks)
+        worst = max(checks, key=lambda c: c.rel_err)  # the first of equal maxima
+        assert worst_pair == (worst.n, worst.m)
+        assert type(worst_pair[0]) is int and type(worst_pair[1]) is int
+
+    # the arrays behind the cached checks cannot change under them
+    with pytest.raises(ValueError):
+        report.pair_passed[0] = not report.pair_passed[0]
+
+
+def test_report_equality_compares_mode_order_and_checks():
+    report = verify_range(5, "exact")
+    assert report == verify_range(5, "exact")
+    assert report != verify_range(4, "exact")
+    assert report != verify_range(5, "quad")
+    flipped = oracles.VerificationReport(
+        "exact", 5, report.n, report.m, report.pair_passed.copy()
+    )
+    assert flipped == report
+    flipped = oracles.VerificationReport("exact", 5, report.n, report.m, ~report.pair_passed)
+    assert flipped != report
+
+
 def test_exact_sums_are_the_single_oracle():
     sums, big = oracles._exact_sums(40)
     assert big == math.lcm(*range(1, 82)) ** 2
