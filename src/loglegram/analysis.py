@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import OrderLimitError
 from .exactmoments import GramMatrix, entry_offdiag, scaled_diagonal
 from .legendre import check_order
@@ -47,8 +49,9 @@ def bilinear_log_form(a, b, gram: GramMatrix):
 
     ``a`` and ``b`` are coefficient sequences in the shifted Legendre
     basis (index n multiplies P_n(2x-1)); the shorter one is zero-padded.
-    The result is exact when both vectors and the matrix are exact;
-    any float input promotes the result to float.
+    The result is exact when both vectors and the matrix are exact.  Any
+    float input makes it a float, summed by BLAS as a' (N b) over nonzero
+    a_n: its last bits may move, within (len(a)+len(b)) eps sum |a_n b_m N_nm|.
     """
     a = list(a)
     b = list(b)
@@ -61,14 +64,18 @@ def bilinear_log_form(a, b, gram: GramMatrix):
         )
     if gram.mode == "exact" and not any(isinstance(v, float) for v in a + b):
         total = Fraction(0)
-    else:
-        total = 0.0
-    for n, an in enumerate(a):
-        if not an:
-            continue
-        row = gram.entries[n]
-        total += an * sum(bm * row[m] for m, bm in enumerate(b) if bm)
-    return total
+        for n, an in enumerate(a):
+            if an:
+                row = gram.entries[n]
+                total += an * sum(bm * row[m] for m, bm in enumerate(b) if bm)
+        return total
+    matrix = np.asarray(gram.entries, dtype=float)  # rounds an exact Gram's cells
+    x = np.array(a, dtype=float)
+    # b's zeros add exact zeros to the row sums N b (|N| <= 1); a's zeros are
+    # skipped, since a row sum may overflow and 0 * inf would be nan
+    with np.errstate(all="ignore"):
+        row_sums = matrix[: len(a), : len(b)] @ np.array(b, dtype=float)
+        return 0.0 + float(x[x != 0] @ row_sums[x != 0])  # +0.0 for a zero form
 
 
 def log_expansion_coeffs(order: int, *, max_order=None) -> list:

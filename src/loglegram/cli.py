@@ -42,23 +42,20 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _format_value(value) -> str:
-    """Exact values as "p/q" with explicit denominator, floats as repr."""
+def _json_cell(value):
+    """Exact values as "p/q" with explicit denominator, others as a finite float."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     value = float(value)
     if not math.isfinite(value):
         raise _NumericalError(f"non-finite value {value!r} cannot be serialized")
-    return repr(value)
-
-
-def _json_cell(value):
-    if isinstance(value, Fraction):
-        return _format_value(value)
-    value = float(value)
-    if not math.isfinite(value):
-        raise _NumericalError(f"non-finite value {value!r} cannot be serialized")
     return value
+
+
+def _format_value(value) -> str:
+    """The text of ``_json_cell``: "p/q" as is, floats as repr."""
+    cell = _json_cell(value)
+    return cell if isinstance(cell, str) else repr(cell)
 
 
 def _dump_json(obj) -> str:
@@ -78,10 +75,8 @@ def _cmd_entry(args) -> tuple[str, int]:
 
 
 def _cmd_gram(args) -> tuple[str, int]:
-    if args.exact:
-        gram = exactmoments.gram_exact(args.size, max_order=args.max_order_cap)
-    else:
-        gram = exactmoments.gram_float(args.size, max_order=args.max_order_cap)
+    build = exactmoments.gram_exact if args.exact else exactmoments.gram_float
+    gram = build(args.size, max_order=args.max_order_cap)
     if args.format == "json":
         rows = [[_json_cell(v) for v in row] for row in gram.entries]
         return _dump_json({"size": gram.order, "mode": gram.mode, "entries": rows}), EXIT_OK
@@ -201,9 +196,10 @@ def _cmd_bilinear(args) -> tuple[str, int]:
     if a_exact and b_exact:
         gram = exactmoments.gram_exact(size, max_order=args.max_order_cap)
     else:
+        for path, values in ((args.a_file, a), (args.b_file, b)):
+            if max(map(abs, values)) > sys.float_info.max:
+                raise ValueError(f"{path}: value beyond the double range in a float form")
         gram = exactmoments.gram_float(size, max_order=args.max_order_cap)
-        a = [float(v) for v in a]
-        b = [float(v) for v in b]
     value = analysis.bilinear_log_form(a, b, gram)
     if args.format == "json":
         return _dump_json({"mode": gram.mode, "value": _json_cell(value)}), EXIT_OK

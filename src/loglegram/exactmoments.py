@@ -39,15 +39,15 @@ __all__ = [
 class GramMatrix:
     """Symmetric (order+1) x (order+1) table of N[n, m] values.
 
-    ``mode`` is "exact" (Fraction entries) or "float" (correctly rounded
-    doubles).  Diagonal entries are strictly negative, off-diagonal signs
-    alternate as (-1)**(n+m+1), and |N[n, m]| <= 1 with equality only at
-    (0, 0).
+    ``mode`` is "exact" (row lists of Fractions) or "float" (one writable
+    float64 array of correctly rounded doubles); both index as entries[n][m].
+    Diagonal entries are strictly negative, off-diagonal signs alternate as
+    (-1)**(n+m+1), and |N[n, m]| <= 1 with equality only at (0, 0).
     """
 
     order: int
     mode: str
-    entries: list
+    entries: list | np.ndarray
 
     @property
     def nrows(self) -> int:
@@ -144,7 +144,7 @@ def gram_float(size: int, *, max_order=None) -> GramMatrix:
     exact as a double, and IEEE division of exact operands is correctly
     rounded: the quotient equals float(Fraction) of the exact entry.  The
     diagonal is a sum, so it is rounded from its exact rational value.
-    Entries are Python floats in lists, like every other GramMatrix.
+    Entries are the (size+1) x (size+1) float64 array itself.
     """
     check_order(size, max_order, name="size")
     index = np.arange(size + 1, dtype=np.int64)
@@ -154,8 +154,7 @@ def gram_float(size: int, *, max_order=None) -> GramMatrix:
     divisor *= np.add.outer(index, index + 1)
     with np.errstate(divide="ignore"):
         np.divide(values, divisor, out=values)
-    del divisor  # freed before the row lists, which set the peak
     np.fill_diagonal(
         values, [float(s / (2 * n + 1)) for n, s in enumerate(scaled_diagonal(size))]
     )
-    return GramMatrix(order=size, mode="float", entries=values.tolist())
+    return GramMatrix(order=size, mode="float", entries=values)

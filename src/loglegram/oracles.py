@@ -438,10 +438,8 @@ def verify_range(
         sums, big = _exact_sums(max_order)
         pairs = zip(rows.tolist(), cols.tolist())
         if entry_fn is None:
-            entries = exactmoments.gram_exact(max_order, max_order=max_order).entries
-            closed = [entries[n][m] for n, m in pairs]
-        else:
-            closed = [entry_fn(n, m) for n, m in pairs]
+            entry_fn = exactmoments.gram_exact(max_order, max_order=max_order).at
+        closed = [entry_fn(n, m) for n, m in pairs]
         # p/q == -S/big, cross-multiplied: no Fraction per pair
         passed = [
             p.numerator * big == -s * p.denominator for p, s in zip(closed, sums[rows, cols])
@@ -451,8 +449,7 @@ def verify_range(
     # the table is freed on return, before the closed side and the report
     approx = _quad_gram(max_order, panels, rule)[rows, cols]
     if entry_fn is None:
-        gram = exactmoments.gram_float(max_order, max_order=max_order)
-        reference = np.array(gram.entries)[rows, cols]
+        reference = exactmoments.gram_float(max_order, max_order=max_order).entries[rows, cols]
     else:
         pairs = zip(rows.tolist(), cols.tolist())
         reference = np.array([float(entry_fn(n, m)) for n, m in pairs])

@@ -111,6 +111,75 @@ def test_bilinearity_float_mode():
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+def _as_integers(values):
+    """(integers, denominator) with values[i] == integers[i] / denominator exactly."""
+    fractions = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fractions))
+    return [f.numerator * (den // f.denominator) for f in fractions], den
+
+
+_GRAM_FLOAT_64 = gram_float(64)
+_GRAM_EXACT_64 = gram_exact(64)
+_N_CELLS, _N_DEN = _as_integers(v for row in _GRAM_EXACT_64.entries for v in row)
+_N_ROWS = [_N_CELLS[65 * n : 65 * (n + 1)] for n in range(65)]
+_EPS = Fraction(np.finfo(float).eps)
+
+# |values| in [1e-30, 1e50] or zero: no product of two of them and an
+# entry of the order-64 Gram under- or overflows
+_doubles = st.floats(min_value=-1e50, max_value=1e50).filter(lambda v: v == 0 or abs(v) >= 1e-30)
+
+
+@st.composite
+def _coefficients(draw, values):
+    """A vector of up to 65 entries, a random share of them zero (possibly all)."""
+    vector = draw(st.lists(values, min_size=1, max_size=65))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    return [v if rng.random() < density else 0.0 for v in vector]
+
+
+def _assert_within_summation_bound(a, b, value):
+    """|value - a' N b| <= (len(a) + len(b)) eps sum |a_n b_m N[n, m]|, in exact arithmetic."""
+    a_ints, a_den = _as_integers(a)
+    b_ints, b_den = _as_integers(b)
+    terms = [
+        an * bm * _N_ROWS[n][m]
+        for n, an in enumerate(a_ints)
+        if an
+        for m, bm in enumerate(b_ints)
+        if bm
+    ]
+    den = a_den * b_den * _N_DEN
+    assert type(value) is float and math.isfinite(value)
+    error = abs(Fraction(value) - Fraction(sum(terms), den))
+    assert error <= (len(a) + len(b)) * _EPS * Fraction(sum(map(abs, terms)), den)
+
+
+@given(
+    st.one_of(
+        _coefficients(_doubles),
+        _coefficients(st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)),
+    ),
+    _coefficients(_doubles),
+)
+def test_float_bilinear_form_within_summation_bound(a, b):
+    value = bilinear_log_form(a, b, _GRAM_FLOAT_64)
+    _assert_within_summation_bound(a, b, value)
+    # float vectors read an exact Gram through the same rounded cells
+    assert bilinear_log_form(a, b, _GRAM_EXACT_64) == value
+    if not any(a) or not any(b):
+        assert math.copysign(1.0, value) == 1.0  # +0.0, never -0.0
+
+
+def test_float_bilinear_form_skips_zero_coefficients():
+    # row 0 of N b overflows to -inf; a's zero there must not turn it into nan
+    tiny = [0.0, 1e-300] + [0.0] * 19
+    huge = [(-1) ** m * 1e308 for m in range(21)]
+    for a, b in ((tiny, huge), (huge, tiny)):
+        value = bilinear_log_form(a, b, gram_float(20))
+        _assert_within_summation_bound(a, b, value)
+
+
 def test_bilinear_mixed_inputs_promote_to_float():
     gram = gram_exact(2)
     value = bilinear_log_form([Fraction(1), 0.5], [Fraction(1)], gram)

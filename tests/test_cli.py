@@ -316,6 +316,23 @@ def test_bilinear_unparseable_file(run_cli, tmp_path):
         assert "unparseable" in err
 
 
+def test_bilinear_integer_beyond_double_range_is_input_error(run_cli, tmp_path):
+    ones = "1" * 400 + "\n"
+    mixed = _write(tmp_path / "mixed.txt", ones + "0.5\n")
+    integers = _write(tmp_path / "integers.txt", ones + "2\n")
+    decimals = _write(tmp_path / "decimals.txt", "0.25\n")
+    # the oversized integer makes its own file float, or the other file does
+    cases = ((mixed, decimals, mixed), (integers, decimals, integers), (decimals, integers, integers))
+    for a, b, culprit in cases:
+        for fmt in ("plain", "csv", "json"):
+            code, out, err = run_cli("bilinear", a, b, "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {culprit}: ") and err.count("\n") == 1
+    # on its own the integer file is an exact form
+    code, out, _ = run_cli("bilinear", integers, integers, "--format", "json")
+    assert code == 0 and json.loads(out)["mode"] == "exact"
+
+
 def test_bilinear_missing_file(run_cli, tmp_path):
     b = _write(tmp_path / "b.txt", "1\n")
     code, _, err = run_cli("bilinear", str(tmp_path / "nope.txt"), b)

@@ -138,9 +138,9 @@ def test_gram_float_is_bit_identical_to_rounded_exact_gram(size):
     reference = [[float(v) for v in row] for row in exact.entries]
     gram = gram_float(size, max_order=size)
     assert (gram.order, gram.mode) == (size, "float")
-    assert type(gram.entries) is list
-    assert all(type(row) is list for row in gram.entries)
-    assert all(type(v) is float for row in gram.entries for v in row)
+    assert isinstance(gram.entries, np.ndarray) and gram.entries.dtype == np.float64
+    assert gram.entries.shape == (size + 1, size + 1)
+    assert gram.entries.flags.writeable
     assert _bits(gram.entries) == _bits(reference)
 
 
@@ -160,13 +160,15 @@ def test_gram_float_rejects_size_before_allocating():
 
 
 def test_gram_float_memory_stays_below_a_fraction_matrix():
-    # a (size+1)**2 Fraction matrix behind the floats peaks at about 81 MiB
+    # a (size+1)**2 Fraction matrix behind the floats peaks at about 81 MiB,
+    # and Python float row lists on top of the array at about 40 MiB; the
+    # array alone and its integer divisors peak at about 24 MiB
     peak = _traced_peak(lambda: gram_float(1024, max_order=1024))
-    assert peak < 64 * 2**20
+    assert peak < 28 * 2**20
 
 
 def test_gram_float_point_values():
-    assert gram_float(0).entries == [[-1.0]]
+    assert gram_float(0).entries.tolist() == [[-1.0]]
     gram = gram_float(2)
     assert gram.at(1, 0) == 0.5
     assert gram.at(2, 2) == -0.2733333333333333
