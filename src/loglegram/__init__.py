@@ -2,8 +2,8 @@
 
 Computes N[n, m] = integral over [0, 1] of P_n(2x-1) P_m(2x-1) log(x) dx
 in exact rational arithmetic from closed forms, and verifies the values
-against an independent symbolic oracle (exact) and endpoint-graded
-quadrature (floating).
+against an independent symbolic oracle (exact) and a Gauss-Legendre
+product rule that is exact in range (floating).
 """
 
 from .analysis import (
@@ -25,10 +25,8 @@ from .exactmoments import (
 )
 from .legendre import MAX_ORDER, MonomialPoly, coeffs_exact, eval_batch, eval_shifted
 from .oracles import (
-    PanelDecomposition,
     QuadratureRule,
     VerificationReport,
-    dyadic_panels,
     exact_entry_oracle,
     gauss_legendre_rule,
     monomial_log_moment,
@@ -44,14 +42,12 @@ __all__ = [
     "GramMatrix",
     "MonomialPoly",
     "OrderLimitError",
-    "PanelDecomposition",
     "QuadratureRule",
     "VerificationReport",
     "bilinear_log_form",
     "coeffs_exact",
     "diag_scaling_table",
     "diag_sum_term",
-    "dyadic_panels",
     "entry",
     "entry_diag",
     "entry_offdiag",

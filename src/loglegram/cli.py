@@ -91,7 +91,6 @@ def _cmd_verify(args) -> tuple[str, int]:
     report = oracles.verify_range(
         args.max_order,
         args.oracle,
-        panels=None if args.panels is None else oracles.dyadic_panels(args.panels),
         rule=None if args.quad_degree is None else oracles.gauss_legendre_rule(args.quad_degree),
         max_order_cap=args.max_order_cap,
     )
@@ -268,16 +267,12 @@ def build_parser() -> _Parser:
     p.add_argument("--max-order", type=_int_arg(0), default=20)
     p.add_argument("--oracle", choices=("exact", "quad"), default="exact")
     p.add_argument(
-        "--panels",
-        type=_int_arg(1),
-        help=f"dyadic panel count, quad oracle only (default: {oracles.DEFAULT_NUM_PANELS})",
-    )
-    p.add_argument(
         "--quad-degree",
         type=_int_arg(1),
         help=(
-            "Gauss-Legendre nodes per panel, quad oracle only "
-            f"(default: {oracles.DEFAULT_QUAD_DEGREE})"
+            "Gauss-Legendre nodes per axis of the product rule, quad oracle only; "
+            "refused if not exact up to 2 x max-order (default: the smallest exact rule, "
+            "max-order + 1)"
         ),
     )
     _add_common(p)

@@ -7,12 +7,21 @@ Two oracles, sharing no formula with :mod:`loglegram.exactmoments`:
   integral x**k log(x) dx on [0, 1]  =  -1/(k+1)**2, as one integer sum
   over the common denominator lcm(1..n+m+1)**2;
 
-* a floating one: panel-by-panel Gauss-Legendre quadrature on a dyadic
-  mesh graded toward the logarithmic singularity at x = 0.  On each
-  panel [b/2, b] the integrand is analytic with uniformly bounded
-  derivatives after rescaling, so the fixed-degree rule converges
-  geometrically; the tail [0, 2**-num_panels] is dropped, which costs
-  at most eps * (1 + |log eps|) <= 1e-16 at the default truncation.
+* a floating one: a Gauss-Legendre product rule.  Since -log(x) is the
+  integral of dt/t over [x, 1], Fubini gives
+
+      integral f(x) log(x) dx on [0, 1]  =  -double integral f(x t) dt dx
+                                             on [0, 1]**2,
+
+  which has no singularity: for f = P_n(2x-1) P_m(2x-1) the integrand is
+  a polynomial of degree n+m in each of x and t.  One d-node
+  Gauss-Legendre rule on both axes is therefore exact for n+m <= 2d-1.
+  The pairs (i, j) and (j, i) give the same node x_i x_j, so the d**2
+  products fold onto d(d+1)/2 nodes, the off-diagonal weights doubled.
+  Without an explicit rule the oracle takes the smallest exact one; a
+  rule that cannot cover a request, or a table above
+  MAX_QUAD_TABLE_CELLS, is refused with OrderLimitError before anything
+  is built, so a quad failure only ever means a wrong closed form.
 
 ``verify_range`` compares the closed-form Gram from ``exactmoments``
 against either oracle on all pairs at once and reports per-pair results
@@ -34,20 +43,15 @@ from .errors import OrderLimitError
 from .legendre import check_order, coeffs_exact, recurrence_sweep
 
 __all__ = [
-    "DEFAULT_NUM_PANELS",
-    "DEFAULT_QUAD_DEGREE",
     "EXACT_ORACLE_MAX_ORDER",
-    "MAX_NUM_PANELS",
     "MAX_QUAD_DEGREE",
     "MAX_QUAD_TABLE_CELLS",
     "QUAD_ABS_TOL",
     "QUAD_REL_TOL",
     "VERIFY_EXACT_MAX_ORDER",
     "PairCheck",
-    "PanelDecomposition",
     "QuadratureRule",
     "VerificationReport",
-    "dyadic_panels",
     "exact_entry_oracle",
     "gauss_legendre_rule",
     "monomial_log_moment",
@@ -63,14 +67,10 @@ EXACT_ORACLE_MAX_ORDER = 64
 #: Cap on exact-mode verification sweeps (the acceptance envelope).
 VERIFY_EXACT_MAX_ORDER = 40
 
-DEFAULT_NUM_PANELS = 64
-#: 2**-1074 is the smallest positive double; one more panel puts the
-#: truncation point at 0.
-MAX_NUM_PANELS = 1074
-DEFAULT_QUAD_DEGREE = 32
-MAX_QUAD_DEGREE = 128
-#: Cap on the quadrature table, (n_max+1) x (num_panels * degree) doubles:
-#: 2**22 cells are 32 MiB.
+MAX_QUAD_DEGREE = 256
+#: Cap on the quadrature table, (n_max+1) orders x d(d+1)/2 product-rule
+#: nodes of doubles: 2**22 cells are 32 MiB.  It binds before
+#: MAX_QUAD_DEGREE: default sweeps reach order 201.
 MAX_QUAD_TABLE_CELLS = 2**22
 
 #: Quadrature-vs-exact tolerances: relative where the value has scale,
@@ -112,47 +112,14 @@ class QuadratureRule:
 
     Nodes are strictly increasing and symmetric about 0; weights are
     positive, symmetric and sum to 2.  A rule of this degree integrates
-    polynomials of degree <= 2*degree - 1 exactly.
+    polynomials of degree <= 2*degree - 1 exactly, so the product rule
+    built from it gives N[n, m] exactly, up to rounding, for
+    n + m <= 2*degree - 1.
     """
 
     degree: int
     nodes: np.ndarray
     weights: np.ndarray
-
-
-@dataclass(frozen=True)
-class PanelDecomposition:
-    """Dyadic panels of [0, 1] accumulating toward x = 0.
-
-    ``breakpoints`` is the decreasing sequence 2**0, 2**-1, ...,
-    2**-num_panels; integration covers [truncation_point, 1] and drops
-    the tail below the truncation point.
-    """
-
-    num_panels: int
-    breakpoints: np.ndarray
-
-    @property
-    def truncation_point(self) -> float:
-        return float(self.breakpoints[-1])
-
-
-def dyadic_panels(num_panels: int = DEFAULT_NUM_PANELS) -> PanelDecomposition:
-    """Geometrically graded panel decomposition with ratio 1/2.
-
-    Rejects a panel count above MAX_NUM_PANELS, whose truncation point
-    2**-num_panels underflows to 0 and would put log(0) into the sums.
-    """
-    check_order(num_panels, math.inf, name="num_panels", minimum=1)
-    if num_panels > MAX_NUM_PANELS:
-        raise ValueError(
-            f"num_panels must be at most {MAX_NUM_PANELS}, got {num_panels}: "
-            f"the truncation point 2**-{num_panels} underflows to 0"
-        )
-    return PanelDecomposition(
-        num_panels=num_panels,
-        breakpoints=2.0 ** -np.arange(num_panels + 1, dtype=np.float64),
-    )
 
 
 def gauss_legendre_rule(degree: int) -> QuadratureRule:
@@ -188,81 +155,69 @@ def shifted_legendre_table(x: np.ndarray, n_max: int) -> np.ndarray:
     return table
 
 
-def _panel_grid(panels: PanelDecomposition, rule: QuadratureRule):
-    """Map the rule onto every panel; returns flat node and weight arrays."""
-    his = panels.breakpoints[:-1]
-    los = panels.breakpoints[1:]
-    mid = 0.5 * (his + los)
-    half = 0.5 * (his - los)
-    x = (mid[:, None] + half[:, None] * rule.nodes[None, :]).ravel()
-    w = (half[:, None] * rule.weights[None, :]).ravel()
-    return x, w
+def _quad_kernel(n_max: int, span: int, rule: QuadratureRule | None = None):
+    """Return (y, s), the folded product-rule nodes and s = sqrt(W) at each.
 
-
-def _quad_kernel(
-    n_max: int,
-    panels: PanelDecomposition | None = None,
-    rule: QuadratureRule | None = None,
-):
-    """Return (x, s), the panel nodes and s = sqrt(-w log x) at each node.
-
-    N[n, m] ~ -sum((P_n(2x-1) s) (P_m(2x-1) s)) for n, m <= n_max.  Every
-    node has weight w > 0 and 0 < x < 1, so the root is real.  Both
-    ``quad_entry_oracle`` and the quad sweep of ``verify_range`` take
-    their grid from here.  ``None`` selects the default mesh and rule.
-    Raises OrderLimitError, before the grid is built, when the
-    recurrence table of n_max + 1 rows would exceed MAX_QUAD_TABLE_CELLS.
+    N[n, m] ~ -sum((P_n(2y-1) s) (P_m(2y-1) s)), exact up to rounding for
+    n + m <= span.  The rule, mapped to [0, 1] as nodes x_i and weights
+    w_i, gives y = x_i x_j, i <= j, of weight W = w_i w_j, doubled for
+    i < j.  ``None`` selects the smallest exact rule, span // 2 + 1 nodes.
+    Raises OrderLimitError, before a rule of a new degree or any grid is
+    built, when the rule is not exact up to span or the recurrence table
+    of n_max + 1 rows would exceed MAX_QUAD_TABLE_CELLS.
     """
-    if panels is None:
-        panels = dyadic_panels()
-    if rule is None:
-        rule = gauss_legendre_rule(DEFAULT_QUAD_DEGREE)
-    cells = (n_max + 1) * panels.num_panels * rule.degree
+    degree = span // 2 + 1 if rule is None else rule.degree
+    if span > 2 * degree - 1:
+        raise OrderLimitError(
+            f"the {degree}-node product rule is exact only for n + m <= {2 * degree - 1}; "
+            f"n + m up to {span} needs {span // 2 + 1} nodes"
+        )
+    nodes = degree * (degree + 1) // 2
+    cells = (n_max + 1) * nodes
     if cells > MAX_QUAD_TABLE_CELLS:
         raise OrderLimitError(
-            f"quadrature table of {n_max + 1} orders x {panels.num_panels} panels x "
-            f"{rule.degree} nodes = {cells} cells exceeds the configured maximum "
+            f"quadrature table for orders 0..{n_max}: {n_max + 1} x {nodes} nodes of the "
+            f"{degree}-node product rule = {cells} cells exceeds the configured maximum "
             f"{MAX_QUAD_TABLE_CELLS}"
         )
-    x, w = _panel_grid(panels, rule)
-    return x, np.sqrt(-w * np.log(x))
+    if rule is None:
+        rule = gauss_legendre_rule(degree)
+    x = 0.5 * (1.0 + rule.nodes)
+    w = 0.5 * rule.weights
+    i, j = np.triu_indices(degree)
+    weights = w[i] * w[j]
+    weights[i != j] *= 2
+    return x[i] * x[j], np.sqrt(weights)
 
 
 def quad_entry_oracle(
-    n: int,
-    m: int,
-    panels: PanelDecomposition | None = None,
-    rule: QuadratureRule | None = None,
-    *,
-    max_order=None,
+    n: int, m: int, rule: QuadratureRule | None = None, *, max_order=None
 ) -> float:
-    """N[n, m] by graded-panel Gauss-Legendre quadrature.
+    """N[n, m] by the folded Gauss-Legendre product rule.
 
-    Sums w * P_n(2x-1) P_m(2x-1) log(x) over every panel node, with each
-    panel mapped affinely from [-1, 1].  The dropped tail below the
-    truncation point is bounded by eps * (1 + |log eps|), which is below
-    1e-16 for the default 64-panel mesh.  No table is stored: only rows
-    n and m of the recurrence are kept and weighted.
+    Exact up to rounding when n + m <= 2 * rule.degree - 1; ``None``
+    takes the smallest such rule, and a smaller one is refused with
+    OrderLimitError.  No table is stored: only rows n and m of the
+    recurrence are kept and weighted.
     """
     check_order(n, max_order, name="n")
     check_order(m, max_order, name="m")
-    x, s = _quad_kernel(max(n, m), panels, rule)
-    rows = [p * s for k, p in enumerate(recurrence_sweep(max(n, m), x)) if k in (n, m)]
+    y, s = _quad_kernel(max(n, m), n + m, rule)
+    rows = [p * s for k, p in enumerate(recurrence_sweep(max(n, m), y)) if k in (n, m)]
     return -float(rows[0] @ rows[-1])  # one row, squared, when n == m
 
 
-def _quad_gram(
-    n_max: int, panels: PanelDecomposition | None, rule: QuadratureRule | None
-) -> np.ndarray:
+def _quad_gram(n_max: int, rule: QuadratureRule | None) -> np.ndarray:
     """N[n, m] by quadrature for all n, m <= n_max, as one exactly symmetric array.
 
-    The recurrence table B is weighted by s in place and Q = -(B @ B.T)
-    is taken once: numpy hands the product of an array with its own
-    transpose to a symmetric BLAS product (syrk), which makes no copy of
-    the table and mirrors one triangle onto the other.
+    The rule must be exact up to n + m = 2 * n_max.  The recurrence table
+    B is weighted by s in place and Q = -(B @ B.T) is taken once: numpy
+    hands the product of an array with its own transpose to a symmetric
+    BLAS product (syrk), which makes no copy of the table and mirrors one
+    triangle onto the other.
     """
-    x, s = _quad_kernel(n_max, panels, rule)
-    table = shifted_legendre_table(x, n_max)
+    y, s = _quad_kernel(n_max, 2 * n_max, rule)
+    table = shifted_legendre_table(y, n_max)
     table *= s
     products = table @ table.T
     return np.negative(products, out=products)
@@ -392,7 +347,6 @@ def verify_range(
     max_order: int,
     mode: str = "exact",
     *,
-    panels: PanelDecomposition | None = None,
     rule: QuadratureRule | None = None,
     entry_fn=None,
     max_order_cap=None,
@@ -401,18 +355,22 @@ def verify_range(
 
     ``mode`` selects the oracle: "exact" demands perfect rational
     equality against the monomial oracle (max_order capped at
-    VERIFY_EXACT_MAX_ORDER; passing ``max_order_cap``, ``panels`` or
-    ``rule``, which it cannot honour, raises ValueError);
-    "quad" accepts relative deviation <= QUAD_REL_TOL, or absolute
-    deviation <= QUAD_ABS_TOL once the value underflows that scale.
-    Failures are recorded in the report, never raised.
+    VERIFY_EXACT_MAX_ORDER; passing ``max_order_cap`` or ``rule``, which
+    it cannot honour, raises ValueError); "quad" accepts relative
+    deviation <= QUAD_REL_TOL, or absolute deviation <= QUAD_ABS_TOL once
+    the value underflows that scale.  Failures are recorded in the
+    report, never raised.
+    The quad oracle takes the smallest exact rule, max_order + 1 nodes,
+    unless ``rule`` is given, and refuses what it cannot cover (see
+    ``_quad_kernel``), so a failed pair means a wrong closed form.
 
     The closed-form side is one Gram, ``gram_exact`` or ``gram_float``
     (the latter indexed as one array), and each oracle evaluates all
     pairs in one matrix product.  Exact pairs are compared by
-    cross-multiplication; the quad sweep sums in another order than
-    ``quad_entry_oracle``, so the two agree to within a few ulps of
-    |N| <= 1, not bit for bit.  The report holds the per-pair results as
+    cross-multiplication.  With the same rule, the quad sweep sums in
+    another order than ``quad_entry_oracle``, so the two agree to within
+    a few ulps of |N| <= 1, not bit for bit; by default they also take
+    rules of different sizes.  The report holds the per-pair results as
     arrays and builds ``PairCheck`` objects only when asked.
 
     ``entry_fn`` substitutes the closed-form side, pair by pair, which is
@@ -426,7 +384,7 @@ def verify_range(
 
     if mode not in ("exact", "quad"):
         raise ValueError(f"mode must be 'exact' or 'quad', got {mode!r}")
-    for name, value in (("max_order_cap", max_order_cap), ("panels", panels), ("rule", rule)):
+    for name, value in (("max_order_cap", max_order_cap), ("rule", rule)):
         if mode == "exact" and value is not None:
             raise ValueError(f"{name} applies to quad sweeps only")
     cap = VERIFY_EXACT_MAX_ORDER if mode == "exact" else max_order_cap
@@ -447,7 +405,7 @@ def verify_range(
         return VerificationReport(mode, max_order, rows, cols, np.array(passed, dtype=bool))
 
     # the table is freed on return, before the closed side and the report
-    approx = _quad_gram(max_order, panels, rule)[rows, cols]
+    approx = _quad_gram(max_order, rule)[rows, cols]
     if entry_fn is None:
         reference = exactmoments.gram_float(max_order, max_order=max_order).entries[rows, cols]
     else:

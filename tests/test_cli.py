@@ -127,7 +127,6 @@ def test_verify_quad_json_and_flags(run_cli):
         "verify",
         "--max-order", "4",
         "--oracle", "quad",
-        "--panels", "48",
         "--quad-degree", "16",
         "--format", "json",
     )
@@ -138,16 +137,25 @@ def test_verify_quad_json_and_flags(run_cli):
     assert payload["worst_rel"] <= 1e-10
 
 
-def test_verify_quad_json_lists_failures(run_cli):
-    # order 40 is past the default rule's range (n + m of about 70): the
-    # failing pairs must reach the payload as plain JSON integers
+def test_verify_quad_json_lists_failures(run_cli, monkeypatch):
+    # the quad oracle is exact at order 40, so failures come from a fault
+    # injected into the closed forms; the failing pairs must reach the
+    # payload as plain JSON integers
+    true_gram = exactmoments.gram_float
+
+    def perturbed(size, **kwargs):
+        gram = true_gram(size, **kwargs)
+        gram.entries[36:, 36:] *= 1 + 1e-6
+        return gram
+
+    monkeypatch.setattr(exactmoments, "gram_float", perturbed)
     code, out, _ = run_cli(
         "verify", "--max-order", "40", "--oracle", "quad", "--format", "json"
     )
     assert code == 2
     payload = json.loads(out)
-    assert (payload["pairs"], payload["passed"], payload["ok"]) == (861, 833, False)
-    assert len(payload["failures"]) == 28
+    assert (payload["pairs"], payload["passed"], payload["ok"]) == (861, 846, False)
+    assert len(payload["failures"]) == 15
     assert payload["failures"][0] == [36, 36]
     assert cli._dump_json(payload) == out
 
@@ -159,29 +167,38 @@ def test_verify_exact_over_cap(run_cli):
     assert "exceeds" in err
 
 
-def test_verify_quad_rejects_underflowing_panels(run_cli):
-    for fmt in ("plain", "csv", "json"):
-        code, out, err = run_cli(
-            "verify", "--max-order", "2", "--oracle", "quad",
-            "--panels", "1075", "--format", fmt,
-        )
-        assert (code, out) == (1, "")
-        assert "underflows" in err
-    code, out, _ = run_cli(
-        "verify", "--max-order", "2", "--oracle", "quad", "--panels", "1074"
-    )
-    assert code == 0
-    assert "6/6 pairs within tolerance" in out
-
-
 def test_verify_quad_rejects_oversized_table(run_cli):
     for fmt in ("plain", "csv", "json"):
         code, out, err = run_cli(
-            "verify", "--max-order", "256", "--oracle", "quad",
-            "--panels", "1074", "--quad-degree", "128", "--format", fmt,
+            "verify", "--max-order", "200", "--oracle", "quad",
+            "--quad-degree", "256", "--format", fmt,
         )
         assert (code, out) == (1, "")
         assert "cells exceeds the configured maximum" in err
+
+
+def test_verify_quad_scales_itself_or_refuses(run_cli):
+    # order 256 once exited 2 with 31,858 false failures; the default rule
+    # now grows with the order, and past the table cap it refuses
+    code, out, _ = run_cli("verify", "--max-order", "201", "--oracle", "quad")
+    assert code == 0
+    assert out.startswith("20503/20503 pairs within tolerance")
+    for args, reason in (
+        (["--max-order", "256"], "orders 0..256"),
+        (["--max-order", "202"], "orders 0..202"),
+        (["--max-order", "64", "--quad-degree", "64"], "exact only for n + m <= 127"),
+    ):
+        for fmt in ("plain", "csv", "json"):
+            code, out, err = run_cli("verify", "--oracle", "quad", *args, "--format", fmt)
+            assert (code, out) == (1, "")
+            assert reason in err
+
+
+def test_verify_quad_refuses_panels(run_cli):
+    # the graded panel mesh is gone, and so is its option
+    code, out, err = run_cli("verify", "--max-order", "2", "--oracle", "quad", "--panels", "48")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --panels" in err
 
 
 def test_verify_exact_refuses_max_order_cap(run_cli):
@@ -383,14 +400,13 @@ def test_no_command_is_usage_error(run_cli):
 
 
 def test_verify_exact_refuses_quad_settings(run_cli):
-    for flag in ("--panels", "--quad-degree"):
-        for fmt in ("plain", "csv", "json"):
-            code, out, err = run_cli(
-                "verify", "--max-order", "5", "--oracle", "exact", flag, "8",
-                "--format", fmt,
-            )
-            assert (code, out) == (1, "")
-            assert "quad sweeps only" in err
+    for fmt in ("plain", "csv", "json"):
+        code, out, err = run_cli(
+            "verify", "--max-order", "5", "--oracle", "exact", "--quad-degree", "8",
+            "--format", fmt,
+        )
+        assert (code, out) == (1, "")
+        assert "quad sweeps only" in err
 
 
 def test_closed_pipe_keeps_exit_code(cli_process):

@@ -11,7 +11,7 @@ from loglegram import cli, legendre
 from loglegram.errors import OrderLimitError
 from loglegram.exactmoments import diag_sum_term
 from loglegram.legendre import MonomialPoly, coeffs_exact, eval_batch, eval_shifted
-from loglegram.oracles import dyadic_panels, gauss_legendre_rule, monomial_log_moment
+from loglegram.oracles import gauss_legendre_rule, monomial_log_moment
 
 
 def test_value_one_at_right_endpoint():
@@ -198,13 +198,12 @@ _CLI_BAD = (True, 2.0, "3e0")
         ),
         pytest.param(diag_sum_term, 1, _PY_BAD, id="diag_sum_term"),
         pytest.param(monomial_log_moment, 0, _PY_BAD, id="monomial_log_moment"),
-        pytest.param(dyadic_panels, 1, _PY_BAD, id="dyadic_panels"),
         pytest.param(gauss_legendre_rule, 1, _PY_BAD, id="gauss_legendre_rule"),
         pytest.param(_via_cli("entry", None, "0"), 0, _CLI_BAD, id="cli-entry-order"),
         pytest.param(_via_cli("gram", None), 0, _CLI_BAD, id="cli-gram-size"),
         pytest.param(
-            _via_cli("verify", "--oracle", "quad", "--max-order", "2", "--panels", None),
-            1, _CLI_BAD, id="cli-panels",
+            _via_cli("verify", "--oracle", "quad", "--max-order", "0", "--quad-degree", None),
+            1, _CLI_BAD, id="cli-quad-degree",
         ),
     ],
 )

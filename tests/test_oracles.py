@@ -7,12 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loglegram import exactmoments, oracles
 from loglegram.errors import OrderLimitError
 from loglegram.legendre import coeffs_exact
 from loglegram.oracles import (
-    dyadic_panels,
     exact_entry_oracle,
     gauss_legendre_rule,
     monomial_log_moment,
@@ -76,7 +76,7 @@ def test_rule_degree_two():
     assert rule.weights == pytest.approx([1.0, 1.0], abs=1e-15)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 8, 32, 127, 128])
+@pytest.mark.parametrize("degree", [1, 2, 3, 8, 32, 127, 128, 256])
 def test_rule_structure(degree):
     rule = gauss_legendre_rule(degree)
     nodes, weights = rule.nodes, rule.weights
@@ -106,7 +106,7 @@ def test_rule_matches_numpy_construction(degree):
     assert rule.weights == pytest.approx(weights, abs=5e-14)
 
 
-@pytest.mark.parametrize("degree", [0, 129, -4, 2.0])
+@pytest.mark.parametrize("degree", [0, 257, -4, 2.0])
 def test_rule_rejects_bad_degrees(degree):
     with pytest.raises(ValueError):
         gauss_legendre_rule(degree)
@@ -121,32 +121,13 @@ def test_rule_is_cached_and_read_only():
         rule.weights[0] = 0.0
 
 
-def test_dyadic_panels_grading():
-    panels = dyadic_panels()
-    assert panels.num_panels == 64
-    assert panels.breakpoints[0] == 1.0
-    ratios = panels.breakpoints[1:] / panels.breakpoints[:-1]
-    assert np.all(ratios == 0.5)
-    assert panels.truncation_point <= 2.0**-60
-    with pytest.raises(ValueError):
-        dyadic_panels(0)
-
-
-def test_dyadic_panels_reject_underflowing_truncation_point():
-    deepest = dyadic_panels(oracles.MAX_NUM_PANELS)
-    assert deepest.truncation_point == 2.0**-1074 > 0.0
-    x, _ = oracles._panel_grid(deepest, gauss_legendre_rule(32))
-    assert np.all(x > 0.0)
-    for num_panels in (1075, 2000):
-        with pytest.raises(ValueError, match="underflows"):
-            dyadic_panels(num_panels)
-
-
 def test_table_matches_scalar_evaluation():
     from loglegram.legendre import eval_batch
 
-    grid, _ = oracles._panel_grid(dyadic_panels(), gauss_legendre_rule(32))
-    x = np.concatenate([[0.0, 0.123, 0.5, 0.875, 1.0], grid])
+    # the product-rule nodes the oracle evaluates on, and a geometric
+    # sweep down to 2**-64
+    nodes, _ = oracles._quad_kernel(24, 63)
+    x = np.concatenate([[0.0, 0.123, 0.5, 0.875, 1.0], np.geomspace(2.0**-64, 1.0, 200), nodes])
     table = shifted_legendre_table(x, 24)
     for j, xj in enumerate(x):
         assert table[:, j].tolist() == eval_batch(24, float(xj))
@@ -159,43 +140,100 @@ def test_quad_oracle_point_values():
     assert quad_entry_oracle(10, 10) == pytest.approx(exact, rel=1e-11)
 
 
+def _quad_close(approx, exact):
+    err = abs(approx - exact)
+    return err <= oracles.QUAD_REL_TOL * abs(exact) or err <= oracles.QUAD_ABS_TOL
+
+
 def test_quad_oracle_order_bounds():
     with pytest.raises(OrderLimitError):
         quad_entry_oracle(300, 0)
-    # the cap override admits the call; accuracy at such orders needs a
-    # finer rule than the default, so only finiteness is asserted here
-    assert math.isfinite(quad_entry_oracle(300, 0, max_order=300))
+    # the cap override admits the call, and the oracle scales itself to
+    # the 151-node rule that is exact for n + m = 300
+    exact = float(exactmoments.entry(300, 0, max_order=300))
+    assert _quad_close(quad_entry_oracle(300, 0, max_order=300), exact)
+
+
+def _quad_cells(n_max, degree):
+    return (n_max + 1) * degree * (degree + 1) // 2
 
 
 def test_quad_table_is_bounded_before_anything_is_built(monkeypatch):
+    # the default sweep at order 201 is the largest table under the cap
+    assert _quad_cells(201, 202) <= oracles.MAX_QUAD_TABLE_CELLS < _quad_cells(202, 203)
     rule = gauss_legendre_rule(128)
-    deep = dyadic_panels(1024)
-    # (31 + 1) x 1024 x 128 cells is exactly the cap
-    assert 32 * 1024 * 128 == oracles.MAX_QUAD_TABLE_CELLS
-    assert math.isfinite(quad_entry_oracle(31, 0, deep, rule))
+    assert math.isfinite(quad_entry_oracle(127, 127, rule))
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("built a table above the cap")
+        raise AssertionError("built a rule or a table past a refusal")
 
-    monkeypatch.setattr(oracles, "_panel_grid", unreachable)
     monkeypatch.setattr(oracles, "shifted_legendre_table", unreachable)
+    monkeypatch.setattr(oracles, "recurrence_sweep", unreachable)
+    monkeypatch.setattr(oracles, "_cached_rule", unreachable)
+    monkeypatch.setattr(np, "triu_indices", unreachable)  # the product grid
+    # a rule too small for the span
+    with pytest.raises(OrderLimitError, match="exact only for n \\+ m <= 255"):
+        quad_entry_oracle(128, 128, rule)
+    with pytest.raises(OrderLimitError, match="129 nodes"):
+        verify_range(128, "quad", rule=rule)
+    # a table above the cap, before its 203- or 257-node rule is built
+    with pytest.raises(OrderLimitError, match="orders 0..202: 203 x 20706 nodes"):
+        verify_range(202, "quad")
+    with pytest.raises(OrderLimitError, match="cells exceeds the configured maximum"):
+        verify_range(256, "quad")
     with pytest.raises(OrderLimitError, match="cells"):
-        quad_entry_oracle(32, 0, deep, rule)
-    with pytest.raises(OrderLimitError, match="33 orders x 1024 panels x 128 nodes"):
-        verify_range(32, "quad", panels=deep, rule=rule)
-    with pytest.raises(OrderLimitError, match="cells"):
-        verify_range(256, "quad", panels=dyadic_panels(1074), rule=rule)
+        quad_entry_oracle(512, 0, max_order=512)
 
 
-def test_quad_oracle_stable_under_panel_refinement():
-    coarse = dyadic_panels(64)
-    fine = dyadic_panels(128)
-    rule = gauss_legendre_rule(32)
-    for n in range(21):
-        for m in range(n + 1):
-            a = quad_entry_oracle(n, m, coarse, rule)
-            b = quad_entry_oracle(n, m, fine, rule)
-            assert abs(a - b) < 1e-13
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 300),
+    m=st.integers(0, 300),
+    degree=st.one_of(st.none(), st.integers(1, oracles.MAX_QUAD_DEGREE)),
+)
+def test_quad_oracle_agrees_or_refuses(n, m, degree):
+    # within tolerance of the closed form, or refused exactly when the
+    # rule is not exact for n + m or the table would pass the cap
+    rule = None if degree is None else gauss_legendre_rule(degree)
+    nodes = (n + m) // 2 + 1 if degree is None else degree
+    refuse = n + m > 2 * nodes - 1 or _quad_cells(max(n, m), nodes) > oracles.MAX_QUAD_TABLE_CELLS
+    try:
+        approx = quad_entry_oracle(n, m, rule, max_order=300)
+    except OrderLimitError:
+        assert refuse, (n, m, degree)
+    else:
+        assert not refuse, (n, m, degree)
+        assert _quad_close(approx, float(exactmoments.entry(n, m, max_order=300))), (n, m, degree)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4, 8, 16, 32])
+def test_quad_rule_range_is_sharp(degree):
+    # every pair inside n + m <= 2d - 1 is exact to rounding; every pair
+    # on n + m = 2d, evaluated on the same grid, is off by more than 1 %
+    rule = gauss_legendre_rule(degree)
+    top = 2 * degree - 1
+    for n in range(top + 1):
+        for m in range(min(n, top - n) + 1):
+            exact = float(exactmoments.entry(n, m))
+            assert abs(quad_entry_oracle(n, m, rule) - exact) <= 1e-15, (n, m)
+    y, s = oracles._quad_kernel(top + 1, top, rule)
+    table = shifted_legendre_table(y, top + 1) * s
+    for n in range(top + 2):
+        m = top + 1 - n
+        exact = float(exactmoments.entry(n, m))
+        assert abs(-float(table[n] @ table[m]) - exact) > 0.01 * abs(exact), (n, m)
+    with pytest.raises(OrderLimitError):
+        quad_entry_oracle(degree, degree, rule)
+
+
+@pytest.mark.parametrize("max_order, degree", [(40, None), (127, None), (201, None), (127, 128)])
+def test_quad_sweeps_in_range_pass(max_order, degree):
+    # default sweeps up to order 201 and the 128-node rule up to order 127;
+    # the refusals just past them are pinned above
+    rule = None if degree is None else gauss_legendre_rule(degree)
+    report = verify_range(max_order, "quad", rule=rule)
+    assert report.passed
+    assert report.worst_abs <= 1e-14
 
 
 def test_verify_exact_small_range():
@@ -213,30 +251,35 @@ def test_verify_quad_single_pair():
     assert report.worst_abs <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "panels, rule", [(None, None), (dyadic_panels(48), gauss_legendre_rule(16))]
-)
-def test_verify_quad_errors_are_the_single_oracle_errors(panels, rule):
+def _faulty_entry(n, m):
+    """The closed form, off by 1e-9 on every pair with n + m divisible by 7."""
+    value = exactmoments.entry(n, m, max_order=max(n, m))
+    return value + Fraction(1, 10**9) if (n + m) % 7 == 0 else value
+
+
+@pytest.mark.parametrize("rule, fault", [(None, None), (gauss_legendre_rule(32), _faulty_entry)])
+def test_verify_quad_errors_are_the_single_oracle_errors(rule, fault):
     # the sweep's one product and the single oracle's dot sum in different
-    # orders, so they agree to a few ulps of |N| <= 1, not bit for bit; the
-    # 16-node rule is out of its range above n + m of about 32 and fails there
-    report = verify_range(20, "quad", panels=panels, rule=rule)
+    # orders, so on one rule they agree to a few ulps of |N| <= 1, not bit
+    # for bit; the default sweep takes the 21-node rule, and a failure
+    # comes only from a fault injected into the closed form
+    closed = fault or exactmoments.entry
+    report = verify_range(20, "quad", rule=rule, entry_fn=fault)
     assert report.num_pairs == 231
-    assert report.passed == (rule is None)
-    swept = oracles._quad_gram(20, panels, rule)
+    assert report.passed == (fault is None)
+    rule = rule or gauss_legendre_rule(21)  # the default: the smallest exact rule
+    swept = oracles._quad_gram(20, rule)
     assert np.array_equal(swept, swept.T)
     for c in report.checks:
-        exact = float(exactmoments.entry(c.n, c.m))
-        single = quad_entry_oracle(c.n, c.m, panels, rule)
+        exact = float(closed(c.n, c.m))
+        single = quad_entry_oracle(c.n, c.m, rule)
         assert c.abs_err == abs(swept[c.n, c.m] - exact)
         assert abs(swept[c.n, c.m] - single) <= 1e-15, (c.n, c.m)
-        err = abs(single - exact)
-        within = err <= oracles.QUAD_REL_TOL * abs(exact) or err <= oracles.QUAD_ABS_TOL
-        assert within == c.passed, (c.n, c.m)
+        assert _quad_close(single, exact) == c.passed == ((c.n + c.m) % 7 != 0 or fault is None)
 
 
 def test_verify_quad_peak_memory_is_the_table():
-    # the 128 x 8,192 table of a 128-node rule is 8 MiB; the closed side
+    # the 128 x 8,256 table of a 128-node rule is 8 MiB; the closed side
     # and the report are built after it is freed, so the sweep stays
     # within the 9.6 MiB (+5 %) that the per-pair sweep needed
     rule = gauss_legendre_rule(128)
@@ -265,8 +308,8 @@ SWEEPS = {
     "exact-40": (40, "exact", {}),
     "quad-0": (0, "quad", {}),
     "quad-31": (31, "quad", {}),
-    "quad-20-48x16": (20, "quad", {"panels": dyadic_panels(48), "rule": gauss_legendre_rule(16)}),
-    "quad-256": (256, "quad", {}),  # out of the default rule's range: 31,858 failures
+    "quad-20-32-fault": (20, "quad", {"rule": gauss_legendre_rule(32), "entry_fn": _faulty_entry}),
+    "quad-201-fault": (201, "quad", {"entry_fn": _faulty_entry}),  # 2,929 injected failures
 }
 
 
@@ -358,9 +401,7 @@ def test_verify_exact_refuses_max_order_cap():
 
 
 def test_verify_exact_refuses_quad_settings():
-    # the exact oracle uses neither a panel mesh nor a Gauss rule
-    with pytest.raises(ValueError, match="panels applies to quad sweeps only"):
-        verify_range(5, "exact", panels=dyadic_panels(8))
+    # the exact oracle uses no Gauss rule
     with pytest.raises(ValueError, match="rule applies to quad sweeps only"):
         verify_range(5, "exact", rule=gauss_legendre_rule(8))
 
@@ -388,7 +429,6 @@ def test_oracles_are_structurally_independent():
         exact_entry_oracle,
         quad_entry_oracle,
         shifted_legendre_table,
-        oracles._panel_grid,
         oracles._quad_kernel,
         oracles._quad_gram,
         oracles._exact_sums,
