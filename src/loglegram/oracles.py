@@ -18,16 +18,18 @@ Two oracles, sharing no formula with :mod:`loglegram.exactmoments`:
   Gauss-Legendre rule on both axes is therefore exact for n+m <= 2d-1.
   The pairs (i, j) and (j, i) give the same node x_i x_j, so the d**2
   products fold onto d(d+1)/2 nodes, the off-diagonal weights doubled.
-  Without an explicit rule the oracle takes the smallest exact one; a
-  rule that cannot cover a request, or a table above
-  MAX_QUAD_TABLE_CELLS, is refused with OrderLimitError before anything
-  is built, so a quad failure only ever means a wrong closed form.
+  Without an explicit rule the oracle takes the smallest exact one, up to
+  MAX_QUAD_DEGREE nodes, which covers every pair up to MAX_ORDER; a rule
+  that cannot cover a request is refused with OrderLimitError before
+  anything is built, so a quad failure only ever means a wrong closed
+  form.
 
 ``verify_range`` compares the closed-form Gram from ``exactmoments``
 against either oracle on all pairs at once and reports per-pair results
 as arrays: the exact oracle's sums for every pair come from one integer
-product C H C^T, the quadrature for every pair from one symmetric
-product of the weighted recurrence table with itself.
+product C H C^T, the quadrature for every pair from symmetric products
+of the weighted recurrence table with itself, summed over node chunks
+so that the table stays bounded in memory at any order.
 """
 
 from __future__ import annotations
@@ -40,15 +42,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import OrderLimitError
-from .legendre import check_order, coeffs_exact, recurrence_sweep
+from .legendre import MAX_ORDER, check_order, coeffs_exact, recurrence_sweep
 
 __all__ = [
     "EXACT_ORACLE_MAX_ORDER",
     "MAX_QUAD_DEGREE",
-    "MAX_QUAD_TABLE_CELLS",
     "QUAD_ABS_TOL",
     "QUAD_REL_TOL",
-    "VERIFY_EXACT_MAX_ORDER",
     "PairCheck",
     "QuadratureRule",
     "VerificationReport",
@@ -60,18 +60,17 @@ __all__ = [
     "verify_range",
 ]
 
-#: Cap on the exact oracle; product coefficients reach ~34**n scale
-#: (5.83**n squared) and the cap keeps a full verification sweep interactive.
-EXACT_ORACLE_MAX_ORDER = 64
+#: Cap on the exact oracle, per pair and per sweep; product coefficients
+#: reach ~34**n scale (5.83**n squared).  A full sweep at the cap, 8,385
+#: pairs, takes about 0.3 s on a 2-vCPU Xeon host (Python 3.11).
+EXACT_ORACLE_MAX_ORDER = 128
 
-#: Cap on exact-mode verification sweeps (the acceptance envelope).
-VERIFY_EXACT_MAX_ORDER = 40
+#: Cap on the Gauss rule: the smallest one exact for every pair up to
+#: MAX_ORDER (n + m <= 512).
+MAX_QUAD_DEGREE = MAX_ORDER + 1
 
-MAX_QUAD_DEGREE = 256
-#: Cap on the quadrature table, (n_max+1) orders x d(d+1)/2 product-rule
-#: nodes of doubles: 2**22 cells are 32 MiB.  It binds before
-#: MAX_QUAD_DEGREE: default sweeps reach order 201.
-MAX_QUAD_TABLE_CELLS = 2**22
+#: Cells per node chunk of the quadrature table: 2**22 doubles are 32 MiB.
+_QUAD_CHUNK_CELLS = 2**22
 
 #: Quadrature-vs-exact tolerances: relative where the value has scale,
 #: absolute once it underflows that scale.
@@ -155,7 +154,7 @@ def shifted_legendre_table(x: np.ndarray, n_max: int) -> np.ndarray:
     return table
 
 
-def _quad_kernel(n_max: int, span: int, rule: QuadratureRule | None = None):
+def _quad_kernel(span: int, rule: QuadratureRule | None = None):
     """Return (y, s), the folded product-rule nodes and s = sqrt(W) at each.
 
     N[n, m] ~ -sum((P_n(2y-1) s) (P_m(2y-1) s)), exact up to rounding for
@@ -163,22 +162,14 @@ def _quad_kernel(n_max: int, span: int, rule: QuadratureRule | None = None):
     w_i, gives y = x_i x_j, i <= j, of weight W = w_i w_j, doubled for
     i < j.  ``None`` selects the smallest exact rule, span // 2 + 1 nodes.
     Raises OrderLimitError, before a rule of a new degree or any grid is
-    built, when the rule is not exact up to span or the recurrence table
-    of n_max + 1 rows would exceed MAX_QUAD_TABLE_CELLS.
+    built, when the rule is not exact up to span or would need more than
+    MAX_QUAD_DEGREE nodes.
     """
     degree = span // 2 + 1 if rule is None else rule.degree
     if span > 2 * degree - 1:
         raise OrderLimitError(
             f"the {degree}-node product rule is exact only for n + m <= {2 * degree - 1}; "
             f"n + m up to {span} needs {span // 2 + 1} nodes"
-        )
-    nodes = degree * (degree + 1) // 2
-    cells = (n_max + 1) * nodes
-    if cells > MAX_QUAD_TABLE_CELLS:
-        raise OrderLimitError(
-            f"quadrature table for orders 0..{n_max}: {n_max + 1} x {nodes} nodes of the "
-            f"{degree}-node product rule = {cells} cells exceeds the configured maximum "
-            f"{MAX_QUAD_TABLE_CELLS}"
         )
     if rule is None:
         rule = gauss_legendre_rule(degree)
@@ -202,7 +193,7 @@ def quad_entry_oracle(
     """
     check_order(n, max_order, name="n")
     check_order(m, max_order, name="m")
-    y, s = _quad_kernel(max(n, m), n + m, rule)
+    y, s = _quad_kernel(n + m, rule)
     rows = [p * s for k, p in enumerate(recurrence_sweep(max(n, m), y)) if k in (n, m)]
     return -float(rows[0] @ rows[-1])  # one row, squared, when n == m
 
@@ -210,16 +201,23 @@ def quad_entry_oracle(
 def _quad_gram(n_max: int, rule: QuadratureRule | None) -> np.ndarray:
     """N[n, m] by quadrature for all n, m <= n_max, as one exactly symmetric array.
 
-    The rule must be exact up to n + m = 2 * n_max.  The recurrence table
-    B is weighted by s in place and Q = -(B @ B.T) is taken once: numpy
-    hands the product of an array with its own transpose to a symmetric
-    BLAS product (syrk), which makes no copy of the table and mirrors one
-    triangle onto the other.
+    The rule must be exact up to n + m = 2 * n_max.  Q = -sum(B_c @ B_c.T)
+    over chunks c of the nodes, B_c the recurrence table on the chunk,
+    weighted by s in place, of at most _QUAD_CHUNK_CELLS cells; each table
+    is freed before the next is built.  numpy hands the product of an
+    array with its own transpose to a symmetric BLAS product (syrk), which
+    makes no copy of the table and mirrors one triangle onto the other.
+    A sweep that fits one chunk is therefore one such product.
     """
-    y, s = _quad_kernel(n_max, 2 * n_max, rule)
-    table = shifted_legendre_table(y, n_max)
-    table *= s
-    products = table @ table.T
+    y, s = _quad_kernel(2 * n_max, rule)
+    step = _QUAD_CHUNK_CELLS // (n_max + 1)
+    products = None
+    for start in range(0, y.size, step):
+        table = shifted_legendre_table(y[start : start + step], n_max)
+        table *= s[start : start + step]
+        chunk = table @ table.T
+        del table
+        products = chunk if products is None else np.add(products, chunk, out=products)
     return np.negative(products, out=products)
 
 
@@ -355,18 +353,20 @@ def verify_range(
 
     ``mode`` selects the oracle: "exact" demands perfect rational
     equality against the monomial oracle (max_order capped at
-    VERIFY_EXACT_MAX_ORDER; passing ``max_order_cap`` or ``rule``, which
+    EXACT_ORACLE_MAX_ORDER; passing ``max_order_cap`` or ``rule``, which
     it cannot honour, raises ValueError); "quad" accepts relative
     deviation <= QUAD_REL_TOL, or absolute deviation <= QUAD_ABS_TOL once
     the value underflows that scale.  Failures are recorded in the
     report, never raised.
     The quad oracle takes the smallest exact rule, max_order + 1 nodes,
-    unless ``rule`` is given, and refuses what it cannot cover (see
-    ``_quad_kernel``), so a failed pair means a wrong closed form.
+    unless ``rule`` is given, and refuses only a rule too small for the
+    span or one past MAX_QUAD_DEGREE (see ``_quad_kernel``), so default
+    sweeps reach MAX_ORDER and a failed pair means a wrong closed form.
 
     The closed-form side is one Gram, ``gram_exact`` or ``gram_float``
-    (the latter indexed as one array), and each oracle evaluates all
-    pairs in one matrix product.  Exact pairs are compared by
+    (the latter indexed as one array).  The exact oracle evaluates all
+    pairs in one matrix product, the quad oracle in one symmetric product
+    per node chunk of its table (see ``_quad_gram``).  Exact pairs are compared by
     cross-multiplication.  With the same rule, the quad sweep sums in
     another order than ``quad_entry_oracle``, so the two agree to within
     a few ulps of |N| <= 1, not bit for bit; by default they also take
@@ -387,7 +387,7 @@ def verify_range(
     for name, value in (("max_order_cap", max_order_cap), ("rule", rule)):
         if mode == "exact" and value is not None:
             raise ValueError(f"{name} applies to quad sweeps only")
-    cap = VERIFY_EXACT_MAX_ORDER if mode == "exact" else max_order_cap
+    cap = EXACT_ORACLE_MAX_ORDER if mode == "exact" else max_order_cap
     check_order(max_order, cap, name="max_order")
 
     rows, cols = np.tril_indices(max_order + 1)

@@ -161,37 +161,44 @@ def test_verify_quad_json_lists_failures(run_cli, monkeypatch):
 
 
 def test_verify_exact_over_cap(run_cli):
-    code, out, err = run_cli("verify", "--max-order", "100", "--oracle", "exact")
+    code, out, err = run_cli("verify", "--max-order", "129", "--oracle", "exact")
     assert code == 1
     assert out == ""
     assert "exceeds" in err
 
 
-def test_verify_quad_rejects_oversized_table(run_cli):
+def test_verify_quad_refuses_past_the_degree_cap(run_cli):
+    # a large table is streamed in node chunks, so only the rule's size
+    # bounds a sweep: order 257 needs a 258-node rule
+    code, out, _ = run_cli(
+        "verify", "--max-order", "200", "--oracle", "quad", "--quad-degree", "256"
+    )
+    assert code == 0
+    assert out.startswith("20301/20301 pairs within tolerance")
     for fmt in ("plain", "csv", "json"):
         code, out, err = run_cli(
-            "verify", "--max-order", "200", "--oracle", "quad",
-            "--quad-degree", "256", "--format", fmt,
+            "verify", "--max-order", "257", "--max-order-cap", "257", "--oracle", "quad",
+            "--format", fmt,
         )
         assert (code, out) == (1, "")
-        assert "cells exceeds the configured maximum" in err
+        assert "degree 258 exceeds the configured maximum 257" in err
 
 
 def test_verify_quad_scales_itself_or_refuses(run_cli):
     # order 256 once exited 2 with 31,858 false failures; the default rule
-    # now grows with the order, and past the table cap it refuses
-    code, out, _ = run_cli("verify", "--max-order", "201", "--oracle", "quad")
-    assert code == 0
-    assert out.startswith("20503/20503 pairs within tolerance")
-    for args, reason in (
-        (["--max-order", "256"], "orders 0..256"),
-        (["--max-order", "202"], "orders 0..202"),
-        (["--max-order", "64", "--quad-degree", "64"], "exact only for n + m <= 127"),
-    ):
-        for fmt in ("plain", "csv", "json"):
-            code, out, err = run_cli("verify", "--oracle", "quad", *args, "--format", fmt)
-            assert (code, out) == (1, "")
-            assert reason in err
+    # now grows with the order up to MAX_ORDER, and a given rule too small
+    # for the order is refused
+    for order, pairs in (("201", 20503), ("202", 20706), ("256", 33153)):
+        code, out, _ = run_cli("verify", "--max-order", order, "--oracle", "quad")
+        assert code == 0
+        assert out.startswith(f"{pairs}/{pairs} pairs within tolerance")
+    for fmt in ("plain", "csv", "json"):
+        code, out, err = run_cli(
+            "verify", "--oracle", "quad", "--max-order", "64", "--quad-degree", "64",
+            "--format", fmt,
+        )
+        assert (code, out) == (1, "")
+        assert "exact only for n + m <= 127" in err
 
 
 def test_verify_quad_refuses_panels(run_cli):

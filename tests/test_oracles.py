@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import math
 import pathlib
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loglegram import exactmoments, oracles
 from loglegram.errors import OrderLimitError
@@ -106,7 +107,7 @@ def test_rule_matches_numpy_construction(degree):
     assert rule.weights == pytest.approx(weights, abs=5e-14)
 
 
-@pytest.mark.parametrize("degree", [0, 257, -4, 2.0])
+@pytest.mark.parametrize("degree", [0, 258, -4, 2.0])
 def test_rule_rejects_bad_degrees(degree):
     with pytest.raises(ValueError):
         gauss_legendre_rule(degree)
@@ -126,7 +127,7 @@ def test_table_matches_scalar_evaluation():
 
     # the product-rule nodes the oracle evaluates on, and a geometric
     # sweep down to 2**-64
-    nodes, _ = oracles._quad_kernel(24, 63)
+    nodes, _ = oracles._quad_kernel(63)
     x = np.concatenate([[0.0, 0.123, 0.5, 0.875, 1.0], np.geomspace(2.0**-64, 1.0, 200), nodes])
     table = shifted_legendre_table(x, 24)
     for j, xj in enumerate(x):
@@ -154,13 +155,18 @@ def test_quad_oracle_order_bounds():
     assert _quad_close(quad_entry_oracle(300, 0, max_order=300), exact)
 
 
-def _quad_cells(n_max, degree):
-    return (n_max + 1) * degree * (degree + 1) // 2
-
-
 def test_quad_table_is_bounded_before_anything_is_built(monkeypatch):
-    # the default sweep at order 201 is the largest table under the cap
-    assert _quad_cells(201, 202) <= oracles.MAX_QUAD_TABLE_CELLS < _quad_cells(202, 203)
+    # the table is streamed in node chunks, so the sweep at MAX_ORDER
+    # passes within one 32 MiB chunk and a little more
+    verify_range(4, "quad")
+    tracemalloc.start()
+    try:
+        report = verify_range(256, "quad")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.num_pairs == 33153
+    assert peak <= 36 * 2**20
     rule = gauss_legendre_rule(128)
     assert math.isfinite(quad_entry_oracle(127, 127, rule))
 
@@ -176,13 +182,31 @@ def test_quad_table_is_bounded_before_anything_is_built(monkeypatch):
         quad_entry_oracle(128, 128, rule)
     with pytest.raises(OrderLimitError, match="129 nodes"):
         verify_range(128, "quad", rule=rule)
-    # a table above the cap, before its 203- or 257-node rule is built
-    with pytest.raises(OrderLimitError, match="orders 0..202: 203 x 20706 nodes"):
-        verify_range(202, "quad")
-    with pytest.raises(OrderLimitError, match="cells exceeds the configured maximum"):
-        verify_range(256, "quad")
-    with pytest.raises(OrderLimitError, match="cells"):
-        quad_entry_oracle(512, 0, max_order=512)
+    # a rule past MAX_QUAD_DEGREE, before its 258 nodes are computed
+    with pytest.raises(OrderLimitError, match="degree 258 exceeds"):
+        verify_range(257, "quad", max_order_cap=257)
+    with pytest.raises(OrderLimitError, match="degree 258 exceeds"):
+        quad_entry_oracle(514, 0, max_order=514)
+
+
+def test_quad_gram_in_node_chunks_is_the_one_chunk_gram(monkeypatch):
+    # 2**10 cells split the 861 nodes of the 41-node rule into chunks of
+    # 24: the chunk sums move the last bits only, and no verdict
+    whole = oracles._quad_gram(40, None)
+    report = verify_range(40, "quad")
+    tables = []
+
+    def counted(x, n_max):
+        tables.append(x.size)
+        return shifted_legendre_table(x, n_max)
+
+    monkeypatch.setattr(oracles, "_QUAD_CHUNK_CELLS", 2**10)
+    monkeypatch.setattr(oracles, "shifted_legendre_table", counted)
+    chunked = oracles._quad_gram(40, None)
+    assert len(tables) == 36 and max(tables) == 24 and sum(tables) == 861
+    assert np.array_equal(chunked, chunked.T)
+    assert np.abs(chunked - whole).max() <= 1e-15
+    assert np.array_equal(verify_range(40, "quad").pair_passed, report.pair_passed)
 
 
 @settings(max_examples=200, deadline=None)
@@ -191,12 +215,15 @@ def test_quad_table_is_bounded_before_anything_is_built(monkeypatch):
     m=st.integers(0, 300),
     degree=st.one_of(st.none(), st.integers(1, oracles.MAX_QUAD_DEGREE)),
 )
+@example(n=230, m=230, degree=None)  # large rules: the single-pair oracle builds no table
+@example(n=255, m=255, degree=None)
+@example(n=256, m=256, degree=None)
 def test_quad_oracle_agrees_or_refuses(n, m, degree):
     # within tolerance of the closed form, or refused exactly when the
-    # rule is not exact for n + m or the table would pass the cap
+    # rule is not exact for n + m or would pass MAX_QUAD_DEGREE
     rule = None if degree is None else gauss_legendre_rule(degree)
     nodes = (n + m) // 2 + 1 if degree is None else degree
-    refuse = n + m > 2 * nodes - 1 or _quad_cells(max(n, m), nodes) > oracles.MAX_QUAD_TABLE_CELLS
+    refuse = n + m > 2 * nodes - 1 or nodes > oracles.MAX_QUAD_DEGREE
     try:
         approx = quad_entry_oracle(n, m, rule, max_order=300)
     except OrderLimitError:
@@ -216,7 +243,7 @@ def test_quad_rule_range_is_sharp(degree):
         for m in range(min(n, top - n) + 1):
             exact = float(exactmoments.entry(n, m))
             assert abs(quad_entry_oracle(n, m, rule) - exact) <= 1e-15, (n, m)
-    y, s = oracles._quad_kernel(top + 1, top, rule)
+    y, s = oracles._quad_kernel(top, rule)
     table = shifted_legendre_table(y, top + 1) * s
     for n in range(top + 2):
         m = top + 1 - n
@@ -228,8 +255,9 @@ def test_quad_rule_range_is_sharp(degree):
 
 @pytest.mark.parametrize("max_order, degree", [(40, None), (127, None), (201, None), (127, 128)])
 def test_quad_sweeps_in_range_pass(max_order, degree):
-    # default sweeps up to order 201 and the 128-node rule up to order 127;
-    # the refusals just past them are pinned above
+    # default sweeps up to order 201 and the 128-node rule up to order 127
+    # keep their worst error at 1e-14; order 256 passes in the memory bound
+    # above
     rule = None if degree is None else gauss_legendre_rule(degree)
     report = verify_range(max_order, "quad", rule=rule)
     assert report.passed
@@ -386,8 +414,9 @@ def test_exact_sums_are_the_single_oracle():
 
 
 def test_verify_caps():
+    assert verify_range(oracles.EXACT_ORACLE_MAX_ORDER, "exact").num_passed == 8385
     with pytest.raises(OrderLimitError):
-        verify_range(41, "exact")
+        verify_range(129, "exact")
     with pytest.raises(OrderLimitError):
         verify_range(257, "quad")
     with pytest.raises(ValueError):
@@ -395,7 +424,7 @@ def test_verify_caps():
 
 
 def test_verify_exact_refuses_max_order_cap():
-    # exact sweeps always stop at VERIFY_EXACT_MAX_ORDER, so a cap cannot be honoured
+    # exact sweeps always stop at EXACT_ORACLE_MAX_ORDER, so a cap cannot be honoured
     with pytest.raises(ValueError, match="quad sweeps only"):
         verify_range(5, "exact", max_order_cap=50)
 
@@ -460,3 +489,15 @@ def test_check_order_is_the_only_integer_validator():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_every_exported_name_resolves():
+    # a name dropped from a module must leave its __all__ too
+    package = pathlib.Path(oracles.__file__).parent
+    names = ["loglegram"] + [f"loglegram.{path.stem}" for path in sorted(package.glob("[!_]*.py"))]
+    missing = []
+    for name in names:
+        module = importlib.import_module(name)
+        exported = getattr(module, "__all__", ())
+        missing += [f"{name}.{attr}" for attr in exported if not hasattr(module, attr)]
+    assert missing == []
