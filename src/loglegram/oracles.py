@@ -162,9 +162,14 @@ def _quad_kernel(span: int, rule: QuadratureRule | None = None):
     w_i, gives y = x_i x_j, i <= j, of weight W = w_i w_j, doubled for
     i < j.  ``None`` selects the smallest exact rule, span // 2 + 1 nodes.
     Raises OrderLimitError, before a rule of a new degree or any grid is
-    built, when the rule is not exact up to span or would need more than
-    MAX_QUAD_DEGREE nodes.
+    built, when the span would need more than MAX_QUAD_DEGREE nodes or the
+    rule is not exact up to span.
     """
+    if span > 2 * MAX_QUAD_DEGREE - 1:
+        raise OrderLimitError(
+            f"n + m up to {span} needs {span // 2 + 1} nodes, more than "
+            f"MAX_QUAD_DEGREE = {MAX_QUAD_DEGREE}"
+        )
     degree = span // 2 + 1 if rule is None else rule.degree
     if span > 2 * degree - 1:
         raise OrderLimitError(
@@ -360,7 +365,7 @@ def verify_range(
     report, never raised.
     The quad oracle takes the smallest exact rule, max_order + 1 nodes,
     unless ``rule`` is given, and refuses only a rule too small for the
-    span or one past MAX_QUAD_DEGREE (see ``_quad_kernel``), so default
+    span or a span past MAX_QUAD_DEGREE (see ``_quad_kernel``), so default
     sweeps reach MAX_ORDER and a failed pair means a wrong closed form.
 
     The closed-form side is one Gram, ``gram_exact`` or ``gram_float``

@@ -12,7 +12,7 @@ from loglegram.analysis import (
     log_expansion_coeffs,
 )
 from loglegram.errors import OrderLimitError
-from loglegram.exactmoments import entry, entry_diag, gram_exact, gram_float
+from loglegram.exactmoments import GramMatrix, entry, entry_diag, gram_exact, gram_float
 from loglegram.oracles import gauss_legendre_rule, shifted_legendre_table
 
 
@@ -206,6 +206,79 @@ def test_bilinear_zero_vector_keeps_the_mode():
         value = bilinear_log_form(a, b, gram)
         assert value == 0
         assert type(value) is kind, (a, b, gram.mode)
+
+
+def _fraction_per_term(a, b, gram):
+    """Reference exact form: one Fraction product and one Fraction sum per nonzero cell."""
+    total = Fraction(0)
+    for n, an in enumerate(a):
+        if an:
+            row = gram.entries[n]
+            total += an * sum(bm * row[m] for m, bm in enumerate(b) if bm)
+    return total
+
+
+_exact_values = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.booleans(),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4),
+)
+
+
+@st.composite
+def _exact_coefficients(draw):
+    """Up to 65 mixed int/bool/Fraction entries, 0 to 100 % of them zero."""
+    vector = draw(st.lists(_exact_values, min_size=1, max_size=65))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    zero = draw(st.sampled_from([0, False, Fraction(0)]))
+    rng = draw(st.randoms(use_true_random=False))
+    return [v if rng.random() < density else zero for v in vector]
+
+
+@given(_exact_coefficients(), _exact_coefficients())
+def test_exact_form_equals_the_fraction_per_term_sum(a, b):
+    value = bilinear_log_form(a, b, _GRAM_EXACT_64)
+    assert value == _fraction_per_term(a, b, _GRAM_EXACT_64)
+    assert type(value) is Fraction
+    if not any(a) or not any(b):
+        assert value == Fraction(0)
+
+
+def test_dense_exact_form_at_order_128_equals_the_fraction_per_term_sum():
+    gram = gram_exact(128)
+    rng = np.random.default_rng(12)
+    kinds = (int, bool, lambda k: Fraction(k, 97), lambda k: Fraction(k, 2**40 + 15))
+    a, b = (
+        [kinds[k % 4](int(v)) for k, v in enumerate(rng.integers(1, 10**6, size=129))]
+        for _ in range(2)
+    )
+    assert all(a) and all(b)
+    value = bilinear_log_form(a, b, gram)
+    assert type(value) is Fraction
+    assert value == _fraction_per_term(a, b, gram)
+
+
+def test_exact_form_reads_the_gram_entries():
+    # a GramMatrix may hold any rationals, not only the closed forms
+    rows = [list(row) for row in gram_exact(3).entries]
+    rows[1][2] += Fraction(1, 7)  # perturbed, so no longer symmetric
+    rows[3][0] = 5  # an int cell
+    gram = GramMatrix(order=3, mode="exact", entries=rows)
+    assert bilinear_log_form([0, 1], [0, 0, 1], gram) == entry(1, 2) + Fraction(1, 7)
+    assert bilinear_log_form([0, 0, 1], [0, 1], gram) == entry(2, 1)
+    value = bilinear_log_form([0, 0, 0, 2], [Fraction(1, 3)], gram)
+    assert value == Fraction(10, 3) and type(value) is Fraction
+    a, b = [1, Fraction(1, 2), 3, True], [Fraction(2, 3), 0, 1, 7]
+    assert bilinear_log_form(a, b, gram) == _fraction_per_term(a, b, gram)
+
+
+def test_float_form_on_an_exact_gram_converts_only_its_block():
+    # rows and columns the form does not read are never converted
+    rows = [row[:2] + [None, None] for row in gram_exact(3).entries[:2]] + [None, None]
+    gram = GramMatrix(order=3, mode="exact", entries=rows)
+    for a, b in (([0.5, 1.0], [1, Fraction(1, 3)]), ([Fraction(1, 3)], [0.25, -2.0])):
+        value = bilinear_log_form(a, b, gram)
+        assert value == bilinear_log_form(a, b, gram_float(3))
 
 
 def test_bilinear_rejects_undersized_gram():

@@ -169,7 +169,7 @@ def test_verify_exact_over_cap(run_cli):
 
 def test_verify_quad_refuses_past_the_degree_cap(run_cli):
     # a large table is streamed in node chunks, so only the rule's size
-    # bounds a sweep: order 257 needs a 258-node rule
+    # bounds a sweep: order 257 needs a 258-node rule, one past the cap
     code, out, _ = run_cli(
         "verify", "--max-order", "200", "--oracle", "quad", "--quad-degree", "256"
     )
@@ -181,7 +181,7 @@ def test_verify_quad_refuses_past_the_degree_cap(run_cli):
             "--format", fmt,
         )
         assert (code, out) == (1, "")
-        assert "degree 258 exceeds the configured maximum 257" in err
+        assert "n + m up to 514 needs 258 nodes, more than MAX_QUAD_DEGREE = 257" in err
 
 
 def test_verify_quad_scales_itself_or_refuses(run_cli):

@@ -182,11 +182,15 @@ def test_quad_table_is_bounded_before_anything_is_built(monkeypatch):
         quad_entry_oracle(128, 128, rule)
     with pytest.raises(OrderLimitError, match="129 nodes"):
         verify_range(128, "quad", rule=rule)
-    # a rule past MAX_QUAD_DEGREE, before its 258 nodes are computed
-    with pytest.raises(OrderLimitError, match="degree 258 exceeds"):
+    # a span past MAX_QUAD_DEGREE, refused by the oracle before its 258
+    # nodes are computed, naming the request rather than the rule
+    past_cap = "n \\+ m up to 514 needs 258 nodes, more than MAX_QUAD_DEGREE = 257"
+    with pytest.raises(OrderLimitError, match=past_cap):
         verify_range(257, "quad", max_order_cap=257)
-    with pytest.raises(OrderLimitError, match="degree 258 exceeds"):
+    with pytest.raises(OrderLimitError, match=past_cap):
         quad_entry_oracle(514, 0, max_order=514)
+    with pytest.raises(OrderLimitError, match=past_cap):
+        quad_entry_oracle(257, 257, max_order=257)
 
 
 def test_quad_gram_in_node_chunks_is_the_one_chunk_gram(monkeypatch):
