@@ -14,11 +14,14 @@ not change the exit code.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import analysis, exactmoments, oracles
 from .legendre import check_order
@@ -77,14 +80,31 @@ def _cmd_entry(args) -> tuple[str, int]:
 def _cmd_gram(args) -> tuple[str, int]:
     build = exactmoments.gram_exact if args.exact else exactmoments.gram_float
     gram = build(args.size, max_order=args.max_order_cap)
+    if args.exact:
+        rows, cell = gram.entries, _format_value
+    else:
+        values = np.asarray(gram.entries, dtype=float)
+        finite = np.isfinite(values)
+        if not finite.all():
+            first = float(values[~finite][0])  # the first in row-major order
+            raise _NumericalError(f"non-finite value {first!r} cannot be serialized")
+        rows, cell = values.tolist(), float.__repr__  # json writes floats the same way
+    # Both builders are exactly symmetric (the tests pin it), so only the lower
+    # triangle is formatted; row n's upper part is column n of that triangle.
+    lower = [list(map(cell, row[: n + 1])) for n, row in enumerate(rows)]
+    if args.format == "plain":
+        width = max(max(map(len, row)) for row in lower)
+        lower = [list(map(str.rjust, row, itertools.repeat(width))) for row in lower]
+    columns = itertools.zip_longest(*lower)
+    cells = [row + list(column[n + 1 :]) for n, (row, column) in enumerate(zip(lower, columns))]
     if args.format == "json":
-        rows = [[_json_cell(v) for v in row] for row in gram.entries]
-        return _dump_json({"size": gram.order, "mode": gram.mode, "entries": rows}), EXIT_OK
-    cells = [[_format_value(v) for v in row] for row in gram.entries]
-    if args.format == "csv":
-        return "".join(",".join(row) + "\n" for row in cells), EXIT_OK
-    width = max(len(c) for row in cells for c in row)
-    return "".join("  ".join(c.rjust(width) for c in row) + "\n" for row in cells), EXIT_OK
+        quote = '"' if args.exact else ""
+        sep = quote + "," + quote
+        entries = ",".join("[" + quote + sep.join(row) + quote + "]" for row in cells)
+        head = f'{{"size":{gram.order},"mode":"{gram.mode}","entries":['
+        return head + entries + "]}\n", EXIT_OK
+    sep = "," if args.format == "csv" else "  "
+    return "".join(sep.join(row) + "\n" for row in cells), EXIT_OK
 
 
 def _cmd_verify(args) -> tuple[str, int]:
@@ -108,25 +128,25 @@ def _cmd_verify(args) -> tuple[str, int]:
             payload["worst_abs"] = _json_cell(report.worst_abs)
             payload["worst_rel"] = _json_cell(report.worst_rel)
         return _dump_json(payload), code
-    lines = []
     if args.format == "csv":
-        for c in report.checks:
-            status = "pass" if c.passed else "fail"
-            if report.mode == "quad":
-                lines.append(f"{c.n},{c.m},{status},{c.abs_err!r},{c.rel_err!r}\n")
-            else:
-                lines.append(f"{c.n},{c.m},{status}\n")
+        # one line per pair, read straight from the report's arrays
+        columns = [
+            map(str, report.n.tolist()),
+            map(str, report.m.tolist()),
+            ["pass" if ok else "fail" for ok in report.pair_passed.tolist()],
+        ]
+        if report.mode == "quad":
+            columns += [map(repr, report.abs_err.tolist()), map(repr, report.rel_err.tolist())]
+        return "".join(",".join(row) + "\n" for row in zip(*columns)), code
+    if report.mode == "exact":
+        summary = f"{report.num_passed}/{report.num_pairs} pairs exact\n"
     else:
-        if report.mode == "exact":
-            lines.append(f"{report.num_passed}/{report.num_pairs} pairs exact\n")
-        else:
-            lines.append(
-                f"{report.num_passed}/{report.num_pairs} pairs within tolerance "
-                f"(rel {oracles.QUAD_REL_TOL:g}, abs {oracles.QUAD_ABS_TOL:g}); "
-                f"worst abs {report.worst_abs:.3e}, worst rel {report.worst_rel:.3e}\n"
-            )
-        lines.extend(f"FAIL ({c.n},{c.m})\n" for c in report.failures)
-    return "".join(lines), code
+        summary = (
+            f"{report.num_passed}/{report.num_pairs} pairs within tolerance "
+            f"(rel {oracles.QUAD_REL_TOL:g}, abs {oracles.QUAD_ABS_TOL:g}); "
+            f"worst abs {report.worst_abs:.3e}, worst rel {report.worst_rel:.3e}\n"
+        )
+    return summary + "".join(f"FAIL ({c.n},{c.m})\n" for c in report.failures), code
 
 
 def _cmd_expand_log(args) -> tuple[str, int]:

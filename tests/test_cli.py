@@ -5,9 +5,10 @@ import random
 import subprocess
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from loglegram import cli, exactmoments
+from loglegram import cli, exactmoments, oracles
 from loglegram.exactmoments import GramMatrix
 
 
@@ -95,6 +96,36 @@ def test_gram_json_round_trip_is_byte_identical(run_cli):
         code, out, _ = run_cli("gram", "3", "--format", "json", *flags)
         assert code == 0
         assert cli._dump_json(json.loads(out)) == out
+
+
+def _per_cell_gram_text(gram, fmt):
+    """Reference: every cell of both triangles rendered on its own."""
+    if fmt == "json":
+        rows = [[cli._json_cell(v) for v in row] for row in gram.entries]
+        return cli._dump_json({"size": gram.order, "mode": gram.mode, "entries": rows})
+    cells = [[cli._format_value(v) for v in row] for row in gram.entries]
+    if fmt == "csv":
+        return "".join(",".join(row) + "\n" for row in cells)
+    width = max(len(c) for row in cells for c in row)
+    return "".join("  ".join(c.rjust(width) for c in row) + "\n" for row in cells)
+
+
+@pytest.mark.parametrize(
+    "size, exact",
+    [(size, False) for size in (0, 1, 2, 7, 64, 192)] + [(size, True) for size in (0, 1, 2, 7, 64)],
+)
+def test_gram_output_matches_per_cell_reference(run_cli, tmp_path, size, exact):
+    build = exactmoments.gram_exact if exact else exactmoments.gram_float
+    flags = ["--exact"] if exact else []
+    for fmt in ("plain", "csv", "json"):
+        expected = _per_cell_gram_text(build(size), fmt)
+        code, out, err = run_cli("gram", str(size), *flags, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == expected
+        target = tmp_path / f"gram.{fmt}"
+        code, out, _ = run_cli("gram", str(size), *flags, "--format", fmt, "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_text(encoding="utf-8") == expected
 
 
 def test_entry_matches_gram_cell(run_cli):
@@ -239,6 +270,42 @@ def test_verify_csv_lists_pairs(run_cli):
     lines = out.splitlines()
     assert len(lines) == 6
     assert lines[0] == "0,0,pass"
+
+
+def _per_pair_verify_csv(report):
+    """Reference: one f-string per ``PairCheck`` of the report."""
+    lines = []
+    for c in report.checks:
+        status = "pass" if c.passed else "fail"
+        if report.mode == "quad":
+            lines.append(f"{c.n},{c.m},{status},{c.abs_err!r},{c.rel_err!r}\n")
+        else:
+            lines.append(f"{c.n},{c.m},{status}\n")
+    return "".join(lines)
+
+
+def test_verify_csv_matches_per_pair_reference(run_cli, monkeypatch):
+    sweeps = [(0, "exact"), (20, "exact"), (0, "quad"), (40, "quad"), (256, "quad")]
+    for max_order, oracle in sweeps:
+        expected = _per_pair_verify_csv(oracles.verify_range(max_order, oracle))
+        code, out, _ = run_cli(
+            "verify", "--max-order", str(max_order), "--oracle", oracle, "--format", "csv"
+        )
+        assert (code, out) == (0, expected)
+
+    # failing pairs keep their place and read "fail"
+    true_gram = exactmoments.gram_float
+
+    def perturbed(size, **kwargs):
+        gram = true_gram(size, **kwargs)
+        gram.entries[36:, 36:] *= 1 + 1e-6
+        return gram
+
+    monkeypatch.setattr(exactmoments, "gram_float", perturbed)
+    expected = _per_pair_verify_csv(oracles.verify_range(40, "quad"))
+    assert expected.count(",fail,") == 15
+    code, out, _ = run_cli("verify", "--max-order", "40", "--oracle", "quad", "--format", "csv")
+    assert (code, out) == (2, expected)
 
 
 def test_expand_log_order_one(run_cli):
@@ -398,6 +465,21 @@ def test_non_finite_value_is_numerical_failure(run_cli, monkeypatch, tmp_path):
             assert out == ""
             assert "numerical failure" in err
     assert not (tmp_path / "g.txt").exists()
+
+    # nan at (0, 1) comes first in row-major order, before -inf at (1, 0)
+    cells = [[-1.0, float("nan")], [float("-inf"), -4 / 9]]
+    for entries in (cells, np.array(cells)):
+        monkeypatch.setattr(
+            exactmoments,
+            "gram_float",
+            lambda size, entries=entries, **kwargs: GramMatrix(1, "float", entries),
+        )
+        for fmt in ("plain", "csv", "json"):
+            for args in (["gram", "1"], ["gram", "1", "--out", str(tmp_path / "g.txt")]):
+                code, out, err = run_cli(*args, "--format", fmt)
+                assert (code, out) == (3, "")
+                assert "numerical failure: non-finite value nan cannot be serialized" in err
+                assert not (tmp_path / "g.txt").exists()
 
 
 def test_no_command_is_usage_error(run_cli):

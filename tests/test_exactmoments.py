@@ -144,6 +144,17 @@ def test_gram_float_is_bit_identical_to_rounded_exact_gram(size):
     assert _bits(gram.entries) == _bits(reference)
 
 
+def test_builders_are_exactly_symmetric():
+    # the CLI formats the lower triangle only and mirrors it, so both
+    # builders must give N[n, m] and N[m, n] as the very same value
+    for size in [*range(301), 1024]:
+        entries = gram_float(size, max_order=size).entries
+        assert np.array_equal(entries, entries.T), size
+    for size in range(65):
+        rows = gram_exact(size).entries
+        assert all(rows[n][m] == rows[m][n] for n in range(size + 1) for m in range(n)), size
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
