@@ -8,17 +8,19 @@ diagnostics (2n+1) N[n, n], which decrease monotonically toward
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import OrderLimitError
-from .exactmoments import GramMatrix, entry_offdiag, scaled_diagonal
+from .exactmoments import GramMatrix, _offdiag, scaled_diagonal
 from .legendre import check_order
 
-#: Ceiling on expansion orders, which bounds the coefficient list the
-#: expansion report carries.
+#: Ceiling on expansion orders, which bounds the coefficient list that
+#: ``log_expansion_coeffs`` and the expansion report carry.
 MAX_EXPANSION_ORDER = 512
 
 __all__ = [
@@ -49,10 +51,11 @@ def bilinear_log_form(a, b, gram: GramMatrix):
 
     ``a`` and ``b`` are coefficient sequences in the shifted Legendre
     basis (index n multiplies P_n(2x-1)); the shorter one is zero-padded.
-    Exact vectors and matrix give a ``Fraction``: with a_n = A_n/da,
-    b_m = B_m/db and cells p/q, A_n B_m p is summed per distinct q, then
-    over the lcm of the q's, with one gcd at the end (a dense 129 x 129 form
-    has 4,254 q's and takes about 6 ms).  Any float input makes it a float,
+    Rational vectors (int, Fraction, numpy integers) and an exact matrix
+    give a ``Fraction``: with a_n = A_n/da, b_m = B_m/db and cells p/q,
+    A_n B_m p is summed in Python integers per distinct q, then over the
+    lcm of the q's, with one gcd at the end (a dense 129 x 129 form has
+    4,254 q's and takes about 6 ms).  Any other input makes it a float,
     summed by BLAS as a' (N b) over nonzero a_n from only the cells it
     reads: its last bits may move, within (len(a)+len(b)) eps sum |a_n b_m N_nm|.
     """
@@ -65,17 +68,19 @@ def bilinear_log_form(a, b, gram: GramMatrix):
             f"gram matrix of order {gram.order} is too small for coefficient "
             f"vectors of lengths {len(a)} and {len(b)}"
         )
-    if gram.mode == "exact" and not any(isinstance(v, float) for v in a + b):
-        da, db = (np.lcm.reduce([v.denominator for v in x], dtype=object) for x in (a, b))
-        cols = [(m, v.numerator * (db // v.denominator)) for m, v in enumerate(b) if v]
+    if gram.mode == "exact" and all(isinstance(v, numbers.Rational) for v in a + b):
+        # as Python ints: the products would overflow numpy integers
+        a, b = ([(int(v.numerator), int(v.denominator)) for v in x] for x in (a, b))
+        da, db = (math.lcm(*(den for _, den in x)) for x in (a, b))
+        cols = [(m, num * (db // den)) for m, (num, den) in enumerate(b) if num]
         sums = {}  # Gram denominator q -> sum of A_n B_m p over the cells p/q
-        for n, v in enumerate(a):
-            if v:
-                row, an = gram.entries[n], v.numerator * (da // v.denominator)
+        for n, (num, den) in enumerate(a):
+            if num:
+                row, an = gram.entries[n], num * (da // den)
                 for m, bm in cols:
                     p, q = row[m].as_integer_ratio()
                     sums[q] = sums.get(q, 0) + p * bm * an
-        common = np.lcm.reduce(list(sums), dtype=object, initial=1)
+        common = math.lcm(*sums)
         return Fraction(sum(s * (common // q) for q, s in sums.items()), common * da * db)
     rows = gram.entries[: len(a)]  # an exact Gram is rounded only where the form reads it
     block = rows[:, : len(b)] if isinstance(rows, np.ndarray) else [r[: len(b)] for r in rows]
@@ -87,18 +92,16 @@ def bilinear_log_form(a, b, gram: GramMatrix):
         return 0.0 + float(x[x != 0] @ row_sums[x != 0])  # +0.0 for a zero form
 
 
-def log_expansion_coeffs(order: int, *, max_order=None) -> list:
+def log_expansion_coeffs(order: int) -> list:
     """L2-optimal coefficients of log(x) in the shifted Legendre basis.
 
     c_n = (2n+1) N[n, 0] since the basis norm is
     integral of P_n(2x-1)**2 = 1/(2n+1); explicitly c_0 = -1 and
-    c_n = (2n+1) (-1)**(n+1) / (n (n+1)) for n >= 1.
+    c_n = (2n+1) (-1)**(n+1) / (n (n+1)) for n >= 1.  ``order`` is capped
+    at MAX_EXPANSION_ORDER.
     """
-    check_order(order, max_order, name="order")
-    coeffs = [Fraction(-1)]
-    for n in range(1, order + 1):
-        coeffs.append((2 * n + 1) * entry_offdiag(n, 0, max_order=max_order))
-    return coeffs
+    check_order(order, MAX_EXPANSION_ORDER, name="order")
+    return [Fraction(-1)] + [(2 * n + 1) * _offdiag(n, 0) for n in range(1, order + 1)]
 
 
 def expansion_l2_error(order: int) -> ExpansionReport:
@@ -110,20 +113,19 @@ def expansion_l2_error(order: int) -> ExpansionReport:
     1/(order+1)**2.  The test suite cross-checks this against a graded
     quadrature of the residual.
     """
-    check_order(order, MAX_EXPANSION_ORDER, name="order")
     return ExpansionReport(
         order=order,
-        coefficients=log_expansion_coeffs(order, max_order=order),
+        coefficients=log_expansion_coeffs(order),
         l2_error=1 / (order + 1),
     )
 
 
-def diag_scaling_table(max_order: int, *, max_order_cap=None) -> list:
+def diag_scaling_table(max_order: int) -> list:
     """Pairs (n, (2n+1) N[n, n]) as floats, for n = 0..max_order.
 
     The scaled diagonal is the running partial sum
     -1 - 2 sum_{j<=n} 1/((2j-1) 2j (2j+1)): strictly decreasing and
     bounded below by its limit -2 log 2.
     """
-    check_order(max_order, max_order_cap, name="max_order")
+    check_order(max_order, name="max_order")
     return [(n, float(scaled)) for n, scaled in enumerate(scaled_diagonal(max_order))]

@@ -112,7 +112,6 @@ def _cmd_verify(args) -> tuple[str, int]:
         args.max_order,
         args.oracle,
         rule=None if args.quad_degree is None else oracles.gauss_legendre_rule(args.quad_degree),
-        max_order_cap=args.max_order_cap,
     )
     code = EXIT_OK if report.passed else EXIT_VERIFY_FAILED
     if args.format == "json":
@@ -295,7 +294,7 @@ def build_parser() -> _Parser:
             "max-order + 1)"
         ),
     )
-    _add_common(p)
+    _add_common(p, max_order_cap=False)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("expand-log", help="shifted Legendre expansion of log(x)")

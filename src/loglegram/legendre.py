@@ -19,10 +19,11 @@ from math import comb
 
 from .errors import OrderLimitError
 
-#: Default ceiling on polynomial orders accepted by public entry points.
+#: Ceiling on polynomial orders accepted by public entry points.
 #: Coefficient vectors grow like (3 + 2*sqrt(2))**n ~ 5.83**n, so the
-#: ceiling keeps misuse from turning into an accidental memory grab;
-#: callers may override per call.
+#: ceiling keeps misuse from turning into an accidental memory grab.
+#: Only the closed forms (``entry``, ``entry_diag``, ``entry_offdiag``,
+#: ``gram_exact``, ``gram_float``) take a per-call ``max_order``.
 MAX_ORDER = 256
 
 __all__ = [
@@ -98,7 +99,7 @@ def recurrence_sweep(n_max, x):
         yield p_cur
 
 
-def eval_shifted(n, x, *, max_order=None):
+def eval_shifted(n, x):
     """Evaluate P_n(2x-1) by the forward three-term recurrence.
 
     Works with float, Fraction or any numeric type supporting ring
@@ -107,30 +108,30 @@ def eval_shifted(n, x, *, max_order=None):
     but |result| <= 1 is only guaranteed on [0, 1].  Only the last two
     values are held, so memory does not grow with n.
     """
-    check_order(n, max_order)
+    check_order(n)
     for value in recurrence_sweep(n, x):
         pass
     return value
 
 
-def eval_batch(n_max, x, *, max_order=None):
+def eval_batch(n_max, x):
     """Return [P_0(2x-1), ..., P_{n_max}(2x-1)] in one recurrence sweep.
 
     Element n is bit-for-bit identical to ``eval_shifted(n, x)`` because
     both run the same arithmetic in the same order.
     """
-    check_order(n_max, max_order)
+    check_order(n_max)
     return list(recurrence_sweep(n_max, x))
 
 
-def coeffs_exact(n, *, max_order=None) -> MonomialPoly:
+def coeffs_exact(n) -> MonomialPoly:
     """Exact integer monomial coefficients of P_n(2x-1).
 
     The coefficient of x**k is (-1)**(n+k) C(n, k) C(n+k, k), so the
     vector is built directly from binomials in O(n) products, with no
     recurrence and no division.
     """
-    check_order(n, max_order)
+    check_order(n)
     return MonomialPoly(
         tuple((-1) ** (n + k) * comb(n, k) * comb(n + k, k) for k in range(n + 1))
     )

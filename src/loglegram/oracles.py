@@ -160,16 +160,11 @@ def _quad_kernel(span: int, rule: QuadratureRule | None = None):
     N[n, m] ~ -sum((P_n(2y-1) s) (P_m(2y-1) s)), exact up to rounding for
     n + m <= span.  The rule, mapped to [0, 1] as nodes x_i and weights
     w_i, gives y = x_i x_j, i <= j, of weight W = w_i w_j, doubled for
-    i < j.  ``None`` selects the smallest exact rule, span // 2 + 1 nodes.
-    Raises OrderLimitError, before a rule of a new degree or any grid is
-    built, when the span would need more than MAX_QUAD_DEGREE nodes or the
-    rule is not exact up to span.
+    i < j.  ``None`` selects the smallest exact rule, span // 2 + 1 nodes;
+    the callers' order cap MAX_ORDER keeps that within MAX_QUAD_DEGREE.
+    Raises OrderLimitError, before any grid is built, when the rule is not
+    exact up to span.
     """
-    if span > 2 * MAX_QUAD_DEGREE - 1:
-        raise OrderLimitError(
-            f"n + m up to {span} needs {span // 2 + 1} nodes, more than "
-            f"MAX_QUAD_DEGREE = {MAX_QUAD_DEGREE}"
-        )
     degree = span // 2 + 1 if rule is None else rule.degree
     if span > 2 * degree - 1:
         raise OrderLimitError(
@@ -186,18 +181,16 @@ def _quad_kernel(span: int, rule: QuadratureRule | None = None):
     return x[i] * x[j], np.sqrt(weights)
 
 
-def quad_entry_oracle(
-    n: int, m: int, rule: QuadratureRule | None = None, *, max_order=None
-) -> float:
-    """N[n, m] by the folded Gauss-Legendre product rule.
+def quad_entry_oracle(n: int, m: int, rule: QuadratureRule | None = None) -> float:
+    """N[n, m] by the folded Gauss-Legendre product rule, n, m <= MAX_ORDER.
 
     Exact up to rounding when n + m <= 2 * rule.degree - 1; ``None``
     takes the smallest such rule, and a smaller one is refused with
     OrderLimitError.  No table is stored: only rows n and m of the
     recurrence are kept and weighted.
     """
-    check_order(n, max_order, name="n")
-    check_order(m, max_order, name="m")
+    check_order(n, name="n")
+    check_order(m, name="m")
     y, s = _quad_kernel(n + m, rule)
     rows = [p * s for k, p in enumerate(recurrence_sweep(max(n, m), y)) if k in (n, m)]
     return -float(rows[0] @ rows[-1])  # one row, squared, when n == m
@@ -352,21 +345,20 @@ def verify_range(
     *,
     rule: QuadratureRule | None = None,
     entry_fn=None,
-    max_order_cap=None,
 ) -> VerificationReport:
     """Check the closed forms against an oracle on all pairs up to max_order.
 
     ``mode`` selects the oracle: "exact" demands perfect rational
     equality against the monomial oracle (max_order capped at
-    EXACT_ORACLE_MAX_ORDER; passing ``max_order_cap`` or ``rule``, which
-    it cannot honour, raises ValueError); "quad" accepts relative
-    deviation <= QUAD_REL_TOL, or absolute deviation <= QUAD_ABS_TOL once
-    the value underflows that scale.  Failures are recorded in the
-    report, never raised.
+    EXACT_ORACLE_MAX_ORDER; passing ``rule``, which it cannot honour,
+    raises ValueError); "quad" accepts relative deviation <=
+    QUAD_REL_TOL, or absolute deviation <= QUAD_ABS_TOL once the value
+    underflows that scale (max_order capped at MAX_ORDER).  Failures are
+    recorded in the report, never raised.
     The quad oracle takes the smallest exact rule, max_order + 1 nodes,
     unless ``rule`` is given, and refuses only a rule too small for the
-    span or a span past MAX_QUAD_DEGREE (see ``_quad_kernel``), so default
-    sweeps reach MAX_ORDER and a failed pair means a wrong closed form.
+    span (see ``_quad_kernel``), so default sweeps reach MAX_ORDER and a
+    failed pair means a wrong closed form.
 
     The closed-form side is one Gram, ``gram_exact`` or ``gram_float``
     (the latter indexed as one array).  The exact oracle evaluates all
@@ -389,10 +381,9 @@ def verify_range(
 
     if mode not in ("exact", "quad"):
         raise ValueError(f"mode must be 'exact' or 'quad', got {mode!r}")
-    for name, value in (("max_order_cap", max_order_cap), ("rule", rule)):
-        if mode == "exact" and value is not None:
-            raise ValueError(f"{name} applies to quad sweeps only")
-    cap = EXACT_ORACLE_MAX_ORDER if mode == "exact" else max_order_cap
+    if mode == "exact" and rule is not None:
+        raise ValueError("rule applies to quad sweeps only")
+    cap = EXACT_ORACLE_MAX_ORDER if mode == "exact" else MAX_ORDER
     check_order(max_order, cap, name="max_order")
 
     rows, cols = np.tril_indices(max_order + 1)
@@ -401,7 +392,7 @@ def verify_range(
         sums, big = _exact_sums(max_order)
         pairs = zip(rows.tolist(), cols.tolist())
         if entry_fn is None:
-            entry_fn = exactmoments.gram_exact(max_order, max_order=max_order).at
+            entry_fn = exactmoments.gram_exact(max_order).at
         closed = [entry_fn(n, m) for n, m in pairs]
         # p/q == -S/big, cross-multiplied: no Fraction per pair
         passed = [
@@ -412,7 +403,7 @@ def verify_range(
     # the table is freed on return, before the closed side and the report
     approx = _quad_gram(max_order, rule)[rows, cols]
     if entry_fn is None:
-        reference = exactmoments.gram_float(max_order, max_order=max_order).entries[rows, cols]
+        reference = exactmoments.gram_float(max_order).entries[rows, cols]
     else:
         pairs = zip(rows.tolist(), cols.tolist())
         reference = np.array([float(entry_fn(n, m)) for n, m in pairs])

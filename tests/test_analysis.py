@@ -192,6 +192,19 @@ def test_bilinear_mixed_inputs_promote_to_float():
     assert isinstance(value, float)
 
 
+def test_bilinear_numpy_scalars_pick_the_branch_by_type():
+    # a numpy float is no Rational, so it makes a float form, as on a float Gram;
+    # numpy integers are Rational and stay exact, summed without overflow
+    for gram in (gram_exact(1), gram_float(1)):
+        value = bilinear_log_form([np.float32(0.5)], [1], gram)
+        assert isinstance(value, float) and value == -0.5
+    big = [np.int64(2**62), np.int64(-(2**62)), np.int64(3)]
+    value = bilinear_log_form(big, big, gram_exact(2))
+    ints = [int(v) for v in big]
+    assert value == bilinear_log_form(ints, ints, gram_exact(2))
+    assert isinstance(value, Fraction)
+
+
 def test_bilinear_zero_vector_keeps_the_mode():
     # a zero form skips every term, so its type comes from the inputs alone
     cases = (
@@ -324,6 +337,14 @@ def test_parseval_consistency():
 def test_l2_error_order_cap():
     with pytest.raises(OrderLimitError):
         expansion_l2_error(513)
+
+
+def test_expansion_has_one_order_cap():
+    # the coefficients and the report take the same orders, up to 512
+    assert log_expansion_coeffs(512) == expansion_l2_error(512).coefficients
+    for func in (log_expansion_coeffs, expansion_l2_error):
+        with pytest.raises(OrderLimitError, match="order 513 exceeds the configured maximum 512"):
+            func(513)
 
 
 def test_diag_scaling_table_values():

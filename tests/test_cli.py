@@ -200,7 +200,8 @@ def test_verify_exact_over_cap(run_cli):
 
 def test_verify_quad_refuses_past_the_degree_cap(run_cli):
     # a large table is streamed in node chunks, so only the rule's size
-    # bounds a sweep: order 257 needs a 258-node rule, one past the cap
+    # bounds a sweep: order 257 would need a 258-node rule, one past the
+    # cap, and is refused as past MAX_ORDER
     code, out, _ = run_cli(
         "verify", "--max-order", "200", "--oracle", "quad", "--quad-degree", "256"
     )
@@ -208,11 +209,10 @@ def test_verify_quad_refuses_past_the_degree_cap(run_cli):
     assert out.startswith("20301/20301 pairs within tolerance")
     for fmt in ("plain", "csv", "json"):
         code, out, err = run_cli(
-            "verify", "--max-order", "257", "--max-order-cap", "257", "--oracle", "quad",
-            "--format", fmt,
+            "verify", "--max-order", "257", "--oracle", "quad", "--format", fmt
         )
         assert (code, out) == (1, "")
-        assert "n + m up to 514 needs 258 nodes, more than MAX_QUAD_DEGREE = 257" in err
+        assert "exceeds" in err
 
 
 def test_verify_quad_scales_itself_or_refuses(run_cli):
@@ -239,14 +239,17 @@ def test_verify_quad_refuses_panels(run_cli):
     assert "unrecognized arguments: --panels" in err
 
 
-def test_verify_exact_refuses_max_order_cap(run_cli):
-    for fmt in ("plain", "csv", "json"):
-        code, out, err = run_cli(
-            "verify", "--max-order", "5", "--oracle", "exact",
-            "--max-order-cap", "50", "--format", fmt,
-        )
-        assert (code, out) == (1, "")
-        assert "quad sweeps only" in err
+def test_verify_refuses_max_order_cap(run_cli):
+    # no oracle can honour a raised cap: quad sweeps stop at MAX_ORDER,
+    # exact ones at EXACT_ORACLE_MAX_ORDER
+    for oracle, cap in (("exact", "50"), ("quad", "300")):
+        for fmt in ("plain", "csv", "json"):
+            code, out, err = run_cli(
+                "verify", "--max-order", "5", "--oracle", oracle,
+                "--max-order-cap", cap, "--format", fmt,
+            )
+            assert (code, out) == (1, "")
+            assert "unrecognized arguments: --max-order-cap" in err
 
 
 def test_verify_injected_failure_exits_two(run_cli, monkeypatch):

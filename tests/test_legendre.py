@@ -91,9 +91,9 @@ def _coeffs_by_vector_recurrence(n):
     return tuple(cur)
 
 
-@pytest.mark.parametrize("n", [*range(65), 128, 255, 256, 260])
+@pytest.mark.parametrize("n", [*range(65), 128, 255, 256])
 def test_binomial_coefficients_match_vector_recurrence(n):
-    assert coeffs_exact(n, max_order=260).coeffs == _coeffs_by_vector_recurrence(n)
+    assert coeffs_exact(n).coeffs == _coeffs_by_vector_recurrence(n)
 
 
 def test_leading_coefficient_is_central_binomial():
@@ -142,8 +142,6 @@ def test_bounded_on_unit_interval_property(n, x):
 def test_eval_order_bounds(func):
     with pytest.raises(OrderLimitError):
         func(legendre.MAX_ORDER + 1, 0.5)
-    with pytest.raises(OrderLimitError):
-        func(10, 0.5, max_order=5)
     with pytest.raises(ValueError):
         func(-1, 0.5)
     with pytest.raises(ValueError):
@@ -153,13 +151,9 @@ def test_eval_order_bounds(func):
 def test_coeffs_order_bounds():
     with pytest.raises(OrderLimitError):
         coeffs_exact(legendre.MAX_ORDER + 1)
-    with pytest.raises(OrderLimitError):
-        coeffs_exact(10, max_order=9)
     with pytest.raises(ValueError):
         coeffs_exact(-3)
-    # override above the default ceiling is allowed
-    poly = coeffs_exact(260, max_order=260)
-    assert poly.degree == 260
+    assert coeffs_exact(legendre.MAX_ORDER).degree == legendre.MAX_ORDER
 
 
 def test_monomial_poly_is_frozen():

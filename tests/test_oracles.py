@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from loglegram import exactmoments, oracles
 from loglegram.errors import OrderLimitError
-from loglegram.legendre import coeffs_exact
+from loglegram.legendre import MAX_ORDER, coeffs_exact
 from loglegram.oracles import (
     exact_entry_oracle,
     gauss_legendre_rule,
@@ -149,10 +149,10 @@ def _quad_close(approx, exact):
 def test_quad_oracle_order_bounds():
     with pytest.raises(OrderLimitError):
         quad_entry_oracle(300, 0)
-    # the cap override admits the call, and the oracle scales itself to
-    # the 151-node rule that is exact for n + m = 300
-    exact = float(exactmoments.entry(300, 0, max_order=300))
-    assert _quad_close(quad_entry_oracle(300, 0, max_order=300), exact)
+    # at MAX_ORDER the oracle scales itself to the 151-node rule that is
+    # exact for n + m = 300
+    exact = float(exactmoments.entry(256, 44))
+    assert _quad_close(quad_entry_oracle(256, 44), exact)
 
 
 def test_quad_table_is_bounded_before_anything_is_built(monkeypatch):
@@ -182,15 +182,12 @@ def test_quad_table_is_bounded_before_anything_is_built(monkeypatch):
         quad_entry_oracle(128, 128, rule)
     with pytest.raises(OrderLimitError, match="129 nodes"):
         verify_range(128, "quad", rule=rule)
-    # a span past MAX_QUAD_DEGREE, refused by the oracle before its 258
-    # nodes are computed, naming the request rather than the rule
-    past_cap = "n \\+ m up to 514 needs 258 nodes, more than MAX_QUAD_DEGREE = 257"
-    with pytest.raises(OrderLimitError, match=past_cap):
-        verify_range(257, "quad", max_order_cap=257)
-    with pytest.raises(OrderLimitError, match=past_cap):
-        quad_entry_oracle(514, 0, max_order=514)
-    with pytest.raises(OrderLimitError, match=past_cap):
-        quad_entry_oracle(257, 257, max_order=257)
+    # an order past MAX_ORDER, whose span would need more than
+    # MAX_QUAD_DEGREE nodes, refused before its rule is computed
+    with pytest.raises(OrderLimitError, match="max_order 257 exceeds the configured maximum 256"):
+        verify_range(257, "quad")
+    with pytest.raises(OrderLimitError, match="n 257 exceeds the configured maximum 256"):
+        quad_entry_oracle(257, 0)
 
 
 def test_quad_gram_in_node_chunks_is_the_one_chunk_gram(monkeypatch):
@@ -223,18 +220,18 @@ def test_quad_gram_in_node_chunks_is_the_one_chunk_gram(monkeypatch):
 @example(n=255, m=255, degree=None)
 @example(n=256, m=256, degree=None)
 def test_quad_oracle_agrees_or_refuses(n, m, degree):
-    # within tolerance of the closed form, or refused exactly when the
-    # rule is not exact for n + m or would pass MAX_QUAD_DEGREE
+    # within tolerance of the closed form, or refused exactly when an
+    # order passes MAX_ORDER or the rule is not exact for n + m
     rule = None if degree is None else gauss_legendre_rule(degree)
     nodes = (n + m) // 2 + 1 if degree is None else degree
-    refuse = n + m > 2 * nodes - 1 or nodes > oracles.MAX_QUAD_DEGREE
+    refuse = max(n, m) > MAX_ORDER or n + m > 2 * nodes - 1
     try:
-        approx = quad_entry_oracle(n, m, rule, max_order=300)
+        approx = quad_entry_oracle(n, m, rule)
     except OrderLimitError:
         assert refuse, (n, m, degree)
     else:
         assert not refuse, (n, m, degree)
-        assert _quad_close(approx, float(exactmoments.entry(n, m, max_order=300))), (n, m, degree)
+        assert _quad_close(approx, float(exactmoments.entry(n, m))), (n, m, degree)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 4, 8, 16, 32])
@@ -425,12 +422,6 @@ def test_verify_caps():
         verify_range(257, "quad")
     with pytest.raises(ValueError):
         verify_range(5, "fancy")
-
-
-def test_verify_exact_refuses_max_order_cap():
-    # exact sweeps always stop at EXACT_ORACLE_MAX_ORDER, so a cap cannot be honoured
-    with pytest.raises(ValueError, match="quad sweeps only"):
-        verify_range(5, "exact", max_order_cap=50)
 
 
 def test_verify_exact_refuses_quad_settings():
