@@ -11,17 +11,28 @@ are correctly rounded from the exact values.  An off-diagonal entry is
 +-1 over an integer below 2**53, and IEEE division of two exactly
 representable integers is correctly rounded, so the float Gram divides
 in numpy and needs rational arithmetic only for its diagonal.
+
+No closed form depends on the matrix size, so the exact Gram of order k
+is the leading block of every larger one.  The module keeps one exact
+table of rows of N and one list of scaled diagonal values, each grown on
+demand to the largest order asked for and never past ``MAX_ORDER``
+(about 3 MiB when full): every exact cell and every stored diagonal
+value is built once per process.  A grown table is built in new lists
+and published by one assignment, under a lock, so no caller sees a
+half-grown one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .legendre import check_order
+from .legendre import MAX_ORDER, check_order
 
 __all__ = [
     "GramMatrix",
@@ -39,8 +50,10 @@ __all__ = [
 class GramMatrix:
     """Symmetric (order+1) x (order+1) table of N[n, m] values.
 
-    ``mode`` is "exact" (row lists of Fractions) or "float" (one writable
-    float64 array of correctly rounded doubles); both index as entries[n][m].
+    ``mode`` is "exact" (fresh row lists of immutable Fractions, which
+    ``gram_exact`` shares with its table) or "float" (one writable float64
+    array of correctly rounded doubles); both index as entries[n][m] and
+    belong to the caller, who may change them.
     Diagonal entries are strictly negative, off-diagonal signs alternate as
     (-1)**(n+m+1), and |N[n, m]| <= 1 with equality only at (0, 0).
     """
@@ -85,16 +98,74 @@ def scaled_diagonal(n_max: int):
 
     The n-th value is -1 - 2 * sum_{j=1..n} diag_sum_term(j), so each
     step costs one summand, subtracted as 2 * diag_sum_term(j) =
-    1/((2j-1) j (2j+1)) without the summand's index check;
-    ``entry_diag``, ``gram_exact``, ``gram_float`` and
-    ``analysis.diag_scaling_table`` all read their diagonals from here.
-    The order is not validated here.
+    1/((2j-1) j (2j+1)) without the summand's index check.  Values up to
+    ``MAX_ORDER`` come from the module's stored list, which grows to the
+    largest n asked for; past it the sum continues, unstored, from the
+    last stored value.  ``entry_diag``, ``gram_exact``, ``gram_float``
+    and ``analysis.diag_scaling_table`` all read their diagonals from
+    here.  The order is not validated here.
     """
-    running = Fraction(-1)
-    yield running
-    for j in range(1, n_max + 1):
+    stored = _stored_diagonal(min(n_max, MAX_ORDER))
+    yield from stored[: n_max + 1]
+    yield from _continued(stored[-1], len(stored), n_max)
+
+
+def _continued(running: Fraction, first: int, n_max: int):
+    """Yield the scaled diagonal for n = first..n_max from the value at first - 1."""
+    for j in range(first, n_max + 1):
         running -= Fraction(1, (2 * j - 1) * j * (2 * j + 1))
         yield running
+
+
+_lock = threading.RLock()  # growing the rows grows the diagonal inside it
+_diagonal = [Fraction(-1)]  # (2n+1) N[n, n] for n < len(_diagonal) <= MAX_ORDER + 1
+_rows = []  # rows of N, each len(_rows) long, for n < len(_rows) <= MAX_ORDER + 1
+
+
+def _stored_diagonal(n_max: int) -> list:
+    """The stored scaled diagonal, grown to cover n_max <= MAX_ORDER."""
+    global _diagonal
+    if len(_diagonal) <= n_max:
+        with _lock:
+            if len(_diagonal) <= n_max:
+                _diagonal = _diagonal + list(_continued(_diagonal[-1], len(_diagonal), n_max))
+    return _diagonal
+
+
+def _grown(rows: list, size: int) -> list:
+    """New row lists of N for n = 0..size, sharing the cells of ``rows``.
+
+    Only the new cells are built: the new columns of the old rows, then
+    each new row, whose cells left of the diagonal are the column already
+    built above it.  Each off-diagonal value is one object in both of its
+    cells.
+    """
+    old = len(rows)
+    grown = [row + [_offdiag(n, m) for m in range(old, size + 1)] for n, row in enumerate(rows)]
+    diagonal = itertools.islice(scaled_diagonal(size), old, None)
+    for n, scaled in zip(range(old, size + 1), diagonal):
+        row = [above[n] for above in grown]
+        row.append(scaled / (2 * n + 1))
+        row.extend(_offdiag(n, m) for m in range(n + 1, size + 1))
+        grown.append(row)
+    return grown
+
+
+def _exact_rows(size: int) -> list:
+    """Rows of N covering n = 0..size: the store, grown up to MAX_ORDER.
+
+    Past ``MAX_ORDER`` the store is extended into a throwaway table that
+    the caller alone holds.
+    """
+    global _rows
+    if len(_rows) > size:
+        return _rows
+    if size > MAX_ORDER:
+        return _grown(_rows, size)
+    with _lock:
+        if len(_rows) <= size:
+            _rows = _grown(_rows, size)
+        return _rows
 
 
 def entry_diag(n: int, *, max_order=None) -> Fraction:
@@ -121,39 +192,41 @@ def entry(n: int, m: int, *, max_order=None) -> Fraction:
 def gram_exact(size: int, *, max_order=None) -> GramMatrix:
     """Exact (size+1) x (size+1) Gram matrix with entries N[n, m].
 
-    The diagonal comes from one ``scaled_diagonal`` sweep, O(1) extra
-    work per row; a test pins this against ``entry_diag``.  The ``size``
-    check covers every index, so cells skip the per-entry validation.
+    The first call at a new largest order builds only the cells the
+    module's table lacks; every later call at or below it is a slice
+    copy.  The rows are fresh lists, so a caller may change them, and
+    their cells are ``Fraction``s shared with the table, which are
+    immutable.  The ``size`` check covers every index, so cells skip the
+    per-entry validation.
     """
     check_order(size, max_order, name="size")
-    rows = [[Fraction(0)] * (size + 1) for _ in range(size + 1)]
-    for n, scaled in enumerate(scaled_diagonal(size)):
-        rows[n][n] = scaled / (2 * n + 1)
-        for m in range(n):
-            value = _offdiag(n, m)
-            rows[n][m] = value
-            rows[m][n] = value
-    return GramMatrix(order=size, mode="exact", entries=rows)
+    return GramMatrix(
+        order=size, mode="exact", entries=[row[: size + 1] for row in _exact_rows(size)[: size + 1]]
+    )
 
 
 def gram_float(size: int, *, max_order=None) -> GramMatrix:
     """Floating Gram matrix, each entry correctly rounded from the exact value.
 
-    Off the diagonal, numpy divides (-1)**(n+m+1) by |n-m| (n+m+1).  The
-    divisor is at most size * (2*size + 1), an integer below 2**53 and so
-    exact as a double, and IEEE division of exact operands is correctly
-    rounded: the quotient equals float(Fraction) of the exact entry.  The
-    diagonal is a sum, so it is rounded from its exact rational value.
-    Entries are the (size+1) x (size+1) float64 array itself.
+    Off the diagonal the divisor |n-m| (n+m+1) is |t_n - t_m| with
+    t_k = k (k+1), at most size * (2*size + 1): an integer below 2**53,
+    so exact as a double.  IEEE division of exact operands is correctly
+    rounded and sign-symmetric, so 1 / |t_n - t_m| times the exact sign
+    (-1)**(n+m+1) equals float(Fraction) of the exact entry.  All of it
+    happens in place in the one (size+1) x (size+1) float64 array that is
+    returned as the entries.  The diagonal is a sum, so it is rounded
+    from its exact rational value.
     """
     check_order(size, max_order, name="size")
-    index = np.arange(size + 1, dtype=np.int64)
-    parity = np.where(index % 2, -1.0, 1.0)
-    values = -np.outer(parity, parity)
-    divisor = np.abs(np.subtract.outer(index, index))
-    divisor *= np.add.outer(index, index + 1)
+    index = np.arange(size + 1, dtype=np.float64)
+    t = index * (index + 1)
+    values = np.subtract.outer(t, t)
+    np.abs(values, out=values)
     with np.errstate(divide="ignore"):
-        np.divide(values, divisor, out=values)
+        np.reciprocal(values, out=values)
+    parity = np.where(index % 2, -1.0, 1.0)
+    values *= parity[:, None]
+    values *= -parity
     np.fill_diagonal(
         values, [float(s / (2 * n + 1)) for n, s in enumerate(scaled_diagonal(size))]
     )

@@ -1,5 +1,7 @@
 import math
+import random
 import struct
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from loglegram import exactmoments
 from loglegram.errors import OrderLimitError
 from loglegram.exactmoments import (
     diag_sum_term,
@@ -15,7 +18,9 @@ from loglegram.exactmoments import (
     entry_offdiag,
     gram_exact,
     gram_float,
+    scaled_diagonal,
 )
+from loglegram.legendre import MAX_ORDER
 
 # frozen values, each checked against the independent monomial oracle
 OFFDIAG_CASES = [
@@ -173,9 +178,9 @@ def test_gram_float_rejects_size_before_allocating():
 def test_gram_float_memory_stays_below_a_fraction_matrix():
     # a (size+1)**2 Fraction matrix behind the floats peaks at about 81 MiB,
     # and Python float row lists on top of the array at about 40 MiB; the
-    # array alone and its integer divisors peak at about 24 MiB
+    # one float64 array, built in place, peaks at about 8.1 MiB
     peak = _traced_peak(lambda: gram_float(1024, max_order=1024))
-    assert peak < 28 * 2**20
+    assert peak < 12 * 2**20
 
 
 def test_gram_float_point_values():
@@ -217,3 +222,98 @@ def test_series_limit_confirmed_by_large_partial_sum():
     j = np.arange(1, 10**6 + 1, dtype=np.float64)
     tail = np.sum(1.0 / ((2 * j - 1) * 2 * j * (2 * j + 1)))
     assert abs((-1.0 - 2.0 * tail) + 2 * math.log(2)) < 1e-12
+
+
+def _fresh_sums(n_max):
+    running, out = Fraction(-1), [Fraction(-1)]
+    for j in range(1, n_max + 1):
+        running -= 2 * diag_sum_term(j)
+        out.append(running)
+    return out
+
+
+@pytest.fixture(scope="module")
+def reference():
+    # per-cell closed forms, the diagonal pinned to a fresh summation
+    rows = [[entry(n, m) for m in range(MAX_ORDER + 1)] for n in range(MAX_ORDER + 1)]
+    fresh = _fresh_sums(MAX_ORDER)
+    assert all(rows[n][n] == fresh[n] / (2 * n + 1) for n in range(MAX_ORDER + 1))
+    return rows
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    # the module's exact table as a fresh process starts with it
+    monkeypatch.setattr(exactmoments, "_rows", [])
+    monkeypatch.setattr(exactmoments, "_diagonal", [Fraction(-1)])
+
+
+def _block(rows, size):
+    return [row[: size + 1] for row in rows[: size + 1]]
+
+
+def test_gram_exact_over_shuffled_sizes_matches_single_entries(reference, empty_store):
+    sizes = [0, 1, 2, 255, 256, 256, 0, 2, 17, 100, 64, 255, 1, 128, 33, 200]
+    random.Random(16).shuffle(sizes)
+    for size in sizes:
+        gram = gram_exact(size)
+        assert (gram.order, gram.nrows) == (size, size + 1)
+        assert gram.entries == _block(reference, size), size
+        assert all(type(v) is Fraction for row in gram.entries for v in row)
+
+
+def test_mutating_a_gram_leaves_later_grams_unchanged(reference, empty_store):
+    # each first build at a new largest order returns rows as long as the table's
+    for size in (20, 5, 40):
+        gram = gram_exact(size)
+        gram.entries[0][0] *= 2
+        gram.entries[1][0] += Fraction(1, 1000)
+        gram.entries[size].append(Fraction(7))
+        gram.entries[2][:] = []
+        gram.entries.append([Fraction(0)])
+        for again in (5, size):
+            assert gram_exact(again).entries == _block(reference, again), (size, again)
+
+
+def test_gram_past_max_order_is_not_retained(reference):
+    gram_exact(MAX_ORDER)  # the table at its cap
+    stored = exactmoments._rows
+    tracemalloc.start()
+    try:
+        gram_exact(300, max_order=300)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**16  # the 301-row result and its throwaway table hold about 1.7 MiB
+    gram = gram_exact(300, max_order=300)
+    assert gram.entries[: MAX_ORDER + 1] == [
+        row + [entry(n, m, max_order=300) for m in range(MAX_ORDER + 1, 301)]
+        for n, row in enumerate(reference)
+    ]
+    fresh = _fresh_sums(300)
+    assert list(scaled_diagonal(300)) == fresh
+    diagonal = [gram.entries[n][n] for n in range(301)]
+    assert diagonal == [s / (2 * n + 1) for n, s in enumerate(fresh)]
+    assert all(gram.entries[n][m] == gram.entries[m][n] for n in range(301) for m in range(n))
+    assert exactmoments._rows is stored and len(stored) == MAX_ORDER + 1
+    assert len(exactmoments._diagonal) == MAX_ORDER + 1
+
+
+def test_concurrent_builds_see_whole_tables(reference, empty_store):
+    start = threading.Barrier(4)
+    results = [[] for _ in range(4)]
+
+    def build(i):
+        start.wait()
+        for k in range(8):
+            size = (37 * i + 53 * k) % (MAX_ORDER + 1)
+            results[i].append((size, gram_exact(size).entries))
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert sum(len(r) for r in results) == 32
+    for size, entries in (pair for r in results for pair in r):
+        assert entries == _block(reference, size), size
