@@ -17,9 +17,16 @@ is the leading block of every larger one.  The module keeps one exact
 table of rows of N and one list of scaled diagonal values, each grown on
 demand to the largest order asked for and never past ``MAX_ORDER``
 (about 3 MiB when full): every exact cell and every stored diagonal
-value is built once per process.  A grown table is built in new lists
-and published by one assignment, under a lock, so no caller sees a
-half-grown one.
+value is built once per process.  Beside them it keeps one read-only
+float64 array of float(N[n, n]), grown to the largest ``gram_float``
+size asked for, past ``MAX_ORDER`` too (8 bytes per n), so each float
+diagonal value is rounded once per process.  With s = (2n+1) N[n, n]
+it is rounded as the one int division s.numerator / (s.denominator *
+(2n+1)): Python's int true division is correctly rounded, and it is
+the division ``Fraction.__float__`` performs, so the bits are those of
+float(Fraction) with no reduced ``Fraction`` formed.  Each grown store
+is built new and published by one assignment, under a lock, so no
+caller sees a half-grown one.
 """
 
 from __future__ import annotations
@@ -117,9 +124,10 @@ def _continued(running: Fraction, first: int, n_max: int):
         yield running
 
 
-_lock = threading.RLock()  # growing the rows grows the diagonal inside it
+_lock = threading.RLock()  # growing the rows or the floats grows _diagonal inside it
 _diagonal = [Fraction(-1)]  # (2n+1) N[n, n] for n < len(_diagonal) <= MAX_ORDER + 1
 _rows = []  # rows of N, each len(_rows) long, for n < len(_rows) <= MAX_ORDER + 1
+_float_diagonal = np.empty(0)  # float(N[n, n]), read-only once grown; no cap
 
 
 def _stored_diagonal(n_max: int) -> list:
@@ -130,6 +138,28 @@ def _stored_diagonal(n_max: int) -> list:
             if len(_diagonal) <= n_max:
                 _diagonal = _diagonal + list(_continued(_diagonal[-1], len(_diagonal), n_max))
     return _diagonal
+
+
+def _rounded_diagonal(size: int) -> np.ndarray:
+    """The stored float(N[n, n]) for n = 0..at least size, read-only.
+
+    Only the new values are rounded, each by one int division.  Past
+    ``MAX_ORDER`` the exact sum is continued, unstored, from n =
+    ``MAX_ORDER`` + 1, so that tail is summed again only when the store
+    grows.
+    """
+    global _float_diagonal
+    if len(_float_diagonal) > size:
+        return _float_diagonal
+    with _lock:
+        old = len(_float_diagonal)
+        if old <= size:
+            tail = itertools.islice(scaled_diagonal(size), old, None)
+            rounded = [s.numerator / (s.denominator * (2 * n + 1)) for n, s in enumerate(tail, old)]
+            grown = np.concatenate([_float_diagonal, rounded])
+            grown.flags.writeable = False
+            _float_diagonal = grown
+        return _float_diagonal
 
 
 def _grown(rows: list, size: int) -> list:
@@ -215,7 +245,9 @@ def gram_float(size: int, *, max_order=None) -> GramMatrix:
     (-1)**(n+m+1) equals float(Fraction) of the exact entry.  All of it
     happens in place in the one (size+1) x (size+1) float64 array that is
     returned as the entries.  The diagonal is a sum, so it is rounded
-    from its exact rational value.
+    from its exact rational value, once per process: the module's float
+    diagonal store is copied onto the array's diagonal, so the store
+    never belongs to the caller.
     """
     check_order(size, max_order, name="size")
     index = np.arange(size + 1, dtype=np.float64)
@@ -227,7 +259,5 @@ def gram_float(size: int, *, max_order=None) -> GramMatrix:
     parity = np.where(index % 2, -1.0, 1.0)
     values *= parity[:, None]
     values *= -parity
-    np.fill_diagonal(
-        values, [float(s / (2 * n + 1)) for n, s in enumerate(scaled_diagonal(size))]
-    )
+    np.fill_diagonal(values, _rounded_diagonal(size)[: size + 1])
     return GramMatrix(order=size, mode="float", entries=values)

@@ -9,13 +9,14 @@ recurrence
 run on floats, Fractions or arrays.  Exact integer coefficients in the
 monomial basis of x come from the closed binomial sum
 
-    P_n(2x-1) = sum_{k=0..n} (-1)**(n+k) C(n, k) C(n+k, k) x**k.
+    P_n(2x-1) = sum_{k=0..n} (-1)**(n+k) C(n, k) C(n+k, k) x**k,
+
+each term taken from the one before by an exact integer ratio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .errors import OrderLimitError
 
@@ -127,11 +128,15 @@ def eval_batch(n_max, x):
 def coeffs_exact(n) -> MonomialPoly:
     """Exact integer monomial coefficients of P_n(2x-1).
 
-    The coefficient of x**k is (-1)**(n+k) C(n, k) C(n+k, k), so the
-    vector is built directly from binomials in O(n) products, with no
-    recurrence and no division.
+    The coefficient of x**k is c_k = (-1)**(n+k) C(n, k) C(n+k, k).  The
+    vector is built from c_0 = (-1)**n by the ratio of consecutive terms,
+    c_{k+1} = -c_k (n-k) (n+k+1) / (k+1)**2, in O(n) products; the
+    division is exact, since c_{k+1} is an integer.
     """
     check_order(n)
-    return MonomialPoly(
-        tuple((-1) ** (n + k) * comb(n, k) * comb(n + k, k) for k in range(n + 1))
-    )
+    c = (-1) ** n
+    coeffs = [c]
+    for k in range(n):
+        c = -c * (n - k) * (n + k + 1) // (k + 1) ** 2
+        coeffs.append(c)
+    return MonomialPoly(tuple(coeffs))

@@ -62,7 +62,8 @@ __all__ = [
 
 #: Cap on the exact oracle, per pair and per sweep; product coefficients
 #: reach ~34**n scale (5.83**n squared).  A full sweep at the cap, 8,385
-#: pairs, takes about 0.3 s on a 2-vCPU Xeon host (Python 3.11).
+#: pairs, took 0.35-0.49 s over ten fresh processes on a shared 2-vCPU
+#: Intel Xeon VM (Python 3.11.7).
 EXACT_ORACLE_MAX_ORDER = 128
 
 #: Cap on the Gauss rule: the smallest one exact for every pair up to

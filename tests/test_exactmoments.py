@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -243,9 +244,23 @@ def reference():
 
 @pytest.fixture
 def empty_store(monkeypatch):
-    # the module's exact table as a fresh process starts with it
+    # the module's stores as a fresh process starts with them
     monkeypatch.setattr(exactmoments, "_rows", [])
     monkeypatch.setattr(exactmoments, "_diagonal", [Fraction(-1)])
+    monkeypatch.setattr(exactmoments, "_float_diagonal", np.empty(0))
+
+
+@pytest.fixture(scope="module")
+def float_reference():
+    # every cell of the exact Gram of order 1024 rounded by float(Fraction)
+    exact = gram_exact(1024, max_order=1024).entries
+    return np.array([[float(v) for v in row] for row in exact])
+
+
+def _same_bits(values, reference):
+    return values.shape == reference.shape and np.array_equal(
+        values.view(np.int64), reference.view(np.int64)
+    )
 
 
 def _block(rows, size):
@@ -299,21 +314,79 @@ def test_gram_past_max_order_is_not_retained(reference):
     assert len(exactmoments._diagonal) == MAX_ORDER + 1
 
 
-def test_concurrent_builds_see_whole_tables(reference, empty_store):
+def _in_four_threads(build):
+    """[(size, entries), ...] from build(i, k) for k < 8 in threads i < 4."""
     start = threading.Barrier(4)
     results = [[] for _ in range(4)]
 
-    def build(i):
+    def run(i):
         start.wait()
-        for k in range(8):
-            size = (37 * i + 53 * k) % (MAX_ORDER + 1)
-            results[i].append((size, gram_exact(size).entries))
+        results[i].extend(build(i, k) for k in range(8))
 
-    threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert sum(len(r) for r in results) == 32
-    for size, entries in (pair for r in results for pair in r):
+    return [pair for r in results for pair in r]
+
+
+def test_concurrent_builds_see_whole_tables(reference, empty_store):
+    def build(i, k):
+        size = (37 * i + 53 * k) % (MAX_ORDER + 1)
+        return size, gram_exact(size).entries
+
+    for size, entries in _in_four_threads(build):
         assert entries == _block(reference, size), size
+
+
+def test_concurrent_float_builds_see_whole_diagonals(float_reference, empty_store):
+    def build(i, k):
+        size = (149 * i + 211 * k) % 1025
+        return size, gram_float(size, max_order=1024).entries
+
+    for size, entries in _in_four_threads(build):
+        assert _same_bits(entries, float_reference[: size + 1, : size + 1]), size
+
+
+def test_gram_float_over_sizes_out_of_order_matches_rounded_exact(float_reference, empty_store):
+    # growing from nothing, across MAX_ORDER, and past it from a store above it
+    for size in [5, 300, 0, 362, 256, 17, 1024, 300, 257, 2, 512, 1, 255, 1000]:
+        gram = gram_float(size, max_order=size)
+        assert _same_bits(gram.entries, float_reference[: size + 1, : size + 1]), size
+        assert gram.entries.flags.writeable and gram.entries.flags.owndata
+
+
+def test_float_diagonal_store_is_read_only_and_not_shared(empty_store):
+    expected = [float(entry_diag(n)) for n in range(41)]
+    for size in (20, 5, 40):
+        gram = gram_float(size)
+        store = exactmoments._float_diagonal
+        assert not store.flags.writeable
+        assert not np.shares_memory(gram.entries, store)
+        with pytest.raises(ValueError):
+            store[0] = 0.0
+        np.fill_diagonal(gram.entries, 7.0)
+        for again in (5, size):
+            diagonal = np.diag(gram_float(again).entries).tolist()
+            assert diagonal == expected[: again + 1], (size, again)
+
+
+def test_float_diagonal_past_max_order_retains_only_its_floats(empty_store):
+    gram_exact(MAX_ORDER)  # the exact stores at their cap
+    tracemalloc.start()
+    try:
+        gram_float(1024, max_order=1024)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 * 2**10  # 1025 doubles: about 8 KiB
+    assert len(exactmoments._float_diagonal) == 1025
+    assert len(exactmoments._rows) == len(exactmoments._diagonal) == MAX_ORDER + 1

@@ -96,6 +96,16 @@ def test_binomial_coefficients_match_vector_recurrence(n):
     assert coeffs_exact(n).coeffs == _coeffs_by_vector_recurrence(n)
 
 
+def test_term_ratio_matches_binomial_sum():
+    # each term of the closed binomial sum from math.comb, independently
+    # of the ratio that takes one term from the one before
+    for n in range(legendre.MAX_ORDER + 1):
+        expected = tuple(
+            (-1) ** (n + k) * math.comb(n, k) * math.comb(n + k, k) for k in range(n + 1)
+        )
+        assert coeffs_exact(n).coeffs == expected, n
+
+
 def test_leading_coefficient_is_central_binomial():
     for n in range(31):
         expected = math.factorial(2 * n) // (math.factorial(n) ** 2)
