@@ -16,20 +16,18 @@ from .analysis import (
 from .errors import OrderLimitError
 from .exactmoments import (
     GramMatrix,
-    diag_sum_term,
     entry,
     entry_diag,
     entry_offdiag,
     gram_exact,
     gram_float,
 )
-from .legendre import MAX_ORDER, MonomialPoly, coeffs_exact, eval_batch, eval_shifted
+from .legendre import MAX_ORDER, MonomialPoly, coeffs_exact
 from .oracles import (
     QuadratureRule,
     VerificationReport,
     exact_entry_oracle,
     gauss_legendre_rule,
-    monomial_log_moment,
     quad_entry_oracle,
     verify_range,
 )
@@ -47,19 +45,15 @@ __all__ = [
     "bilinear_log_form",
     "coeffs_exact",
     "diag_scaling_table",
-    "diag_sum_term",
     "entry",
     "entry_diag",
     "entry_offdiag",
-    "eval_batch",
-    "eval_shifted",
     "exact_entry_oracle",
     "expansion_l2_error",
     "gauss_legendre_rule",
     "gram_exact",
     "gram_float",
     "log_expansion_coeffs",
-    "monomial_log_moment",
     "quad_entry_oracle",
     "verify_range",
 ]

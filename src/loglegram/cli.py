@@ -178,7 +178,7 @@ def _read_coeff_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     values = []
     saw_fraction = saw_decimal = False

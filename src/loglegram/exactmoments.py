@@ -32,7 +32,6 @@ caller sees a half-grown one.
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +42,6 @@ from .legendre import MAX_ORDER, check_order
 
 __all__ = [
     "GramMatrix",
-    "diag_sum_term",
     "entry",
     "entry_diag",
     "entry_offdiag",
@@ -77,12 +75,6 @@ class GramMatrix:
         return self.entries[n][m]
 
 
-def diag_sum_term(j: int) -> Fraction:
-    """Summand 1/((2j-1) * 2j * (2j+1)) of the diagonal closed sum, j >= 1."""
-    check_order(j, math.inf, name="summation index", minimum=1)
-    return Fraction(1, (2 * j - 1) * 2 * j * (2 * j + 1))
-
-
 def entry_offdiag(n: int, m: int, *, max_order=None) -> Fraction:
     """N[n, m] for n != m: (-1)**(n+m+1) / (|n-m| (n+m+1)), reduced."""
     check_order(n, max_order, name="n")
@@ -103,12 +95,11 @@ def _offdiag(n: int, m: int) -> Fraction:
 def scaled_diagonal(n_max: int):
     """Yield (2n+1) N[n, n] for n = 0..n_max as exact running sums.
 
-    The n-th value is -1 - 2 * sum_{j=1..n} diag_sum_term(j), so each
-    step costs one summand, subtracted as 2 * diag_sum_term(j) =
-    1/((2j-1) j (2j+1)) without the summand's index check.  Values up to
-    ``MAX_ORDER`` come from the module's stored list, which grows to the
-    largest n asked for; past it the sum continues, unstored, from the
-    last stored value.  ``entry_diag``, ``gram_exact``, ``gram_float``
+    The n-th value is -1 - 2 * sum_{j=1..n} 1/((2j-1) 2j (2j+1)), so
+    each step costs one summand, subtracted doubled as 1/((2j-1) j (2j+1)).
+    Values up to ``MAX_ORDER`` come from the module's stored list, which
+    grows to the largest n asked for; past it the sum continues, unstored,
+    from the last stored value.  ``entry_diag``, ``gram_exact``, ``gram_float``
     and ``analysis.diag_scaling_table`` all read their diagonals from
     here.  The order is not validated here.
     """

@@ -32,8 +32,6 @@ __all__ = [
     "MonomialPoly",
     "check_order",
     "coeffs_exact",
-    "eval_batch",
-    "eval_shifted",
     "recurrence_sweep",
 ]
 
@@ -72,21 +70,15 @@ class MonomialPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def eval(self, x):
-        """Evaluate by Horner's scheme; exact when ``x`` is exact."""
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
 
 def recurrence_sweep(n_max, x):
     """Yield P_0(2x-1), ..., P_{n_max}(2x-1) by the forward recurrence.
 
-    This is the package's one floating recurrence loop: ``eval_shifted``,
-    ``eval_batch`` and the quadrature oracle's table all consume it, so
-    their values agree bit for bit.  ``x`` may be a float, a Fraction or
-    an ndarray; the order is not validated here.
+    This is the package's one floating recurrence loop: the quadrature
+    oracle's single pairs and its table both consume it, so their values
+    agree bit for bit.  ``x`` may be a float, a Fraction or an ndarray;
+    exact input gives exact values, and |P_n| <= 1 holds only on [0, 1].
+    The order is not validated here.
     """
     t = 2 * x - 1
     p_prev = x * 0 + 1
@@ -98,31 +90,6 @@ def recurrence_sweep(n_max, x):
     for k in range(1, n_max):
         p_prev, p_cur = p_cur, ((2 * k + 1) * t * p_cur - k * p_prev) / (k + 1)
         yield p_cur
-
-
-def eval_shifted(n, x):
-    """Evaluate P_n(2x-1) by the forward three-term recurrence.
-
-    Works with float, Fraction or any numeric type supporting ring
-    arithmetic plus true division; exact input gives an exact result.
-    Arguments outside [0, 1] are allowed (the recurrence does not care),
-    but |result| <= 1 is only guaranteed on [0, 1].  Only the last two
-    values are held, so memory does not grow with n.
-    """
-    check_order(n)
-    for value in recurrence_sweep(n, x):
-        pass
-    return value
-
-
-def eval_batch(n_max, x):
-    """Return [P_0(2x-1), ..., P_{n_max}(2x-1)] in one recurrence sweep.
-
-    Element n is bit-for-bit identical to ``eval_shifted(n, x)`` because
-    both run the same arithmetic in the same order.
-    """
-    check_order(n_max)
-    return list(recurrence_sweep(n_max, x))
 
 
 def coeffs_exact(n) -> MonomialPoly:

@@ -54,7 +54,6 @@ __all__ = [
     "VerificationReport",
     "exact_entry_oracle",
     "gauss_legendre_rule",
-    "monomial_log_moment",
     "quad_entry_oracle",
     "shifted_legendre_table",
     "verify_range",
@@ -77,12 +76,6 @@ _QUAD_CHUNK_CELLS = 2**22
 #: absolute once it underflows that scale.
 QUAD_REL_TOL = 1e-10
 QUAD_ABS_TOL = 1e-13
-
-
-def monomial_log_moment(k: int) -> Fraction:
-    """Exact log moment of x**k on [0, 1]: -1/(k+1)**2 (integration by parts)."""
-    check_order(k, math.inf, name="monomial power")
-    return Fraction(-1, (k + 1) ** 2)
 
 
 def exact_entry_oracle(n: int, m: int) -> Fraction:
@@ -272,9 +265,8 @@ class VerificationReport:
     ``n`` and ``m``, the per-pair outcome ``pair_passed`` and, in quad
     sweeps, ``abs_err`` and ``rel_err`` (None in exact sweeps).  Every
     summary is read from the arrays; ``failures`` builds a ``PairCheck``
-    for each failing pair only, and ``checks``, the full list, is built
-    on first read and cached.  Two reports are equal when their mode,
-    max_order and checks are.
+    for each failing pair only.  Reports compare by identity; compare
+    their arrays to compare their results.
     """
 
     mode: str
@@ -286,26 +278,11 @@ class VerificationReport:
     rel_err: np.ndarray | None = None
 
     def __post_init__(self):
-        # the cached checks are read from these arrays, so they must not change
+        # the report hands these arrays out, and ``failures``, the worst-error
+        # fields and the CLI's csv are read from them, so they must not change
         for array in (self.n, self.m, self.pair_passed, self.abs_err, self.rel_err):
             if array is not None:
                 array.flags.writeable = False
-
-    def _pair_checks(self, index) -> list:
-        columns = [a[index].tolist() for a in (self.n, self.m, self.pair_passed)]
-        if self.abs_err is not None:
-            columns += [self.abs_err[index].tolist(), self.rel_err[index].tolist()]
-        return [PairCheck(*row) for row in zip(*columns)]
-
-    @functools.cached_property
-    def checks(self) -> list:
-        return self._pair_checks(slice(None))
-
-    def __eq__(self, other):
-        if not isinstance(other, VerificationReport):
-            return NotImplemented
-        mine = (self.mode, self.max_order, self.checks)
-        return mine == (other.mode, other.max_order, other.checks)
 
     @property
     def num_pairs(self) -> int:
@@ -317,7 +294,11 @@ class VerificationReport:
 
     @property
     def failures(self) -> list:
-        return self._pair_checks(np.flatnonzero(~self.pair_passed))
+        index = np.flatnonzero(~self.pair_passed)
+        columns = [a[index].tolist() for a in (self.n, self.m, self.pair_passed)]
+        if self.abs_err is not None:
+            columns += [self.abs_err[index].tolist(), self.rel_err[index].tolist()]
+        return [PairCheck(*row) for row in zip(*columns)]
 
     @property
     def passed(self) -> bool:

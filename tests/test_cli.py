@@ -276,14 +276,14 @@ def test_verify_csv_lists_pairs(run_cli):
 
 
 def _per_pair_verify_csv(report):
-    """Reference: one f-string per ``PairCheck`` of the report."""
+    """Reference: one f-string per pair, read from the report's arrays one by one."""
     lines = []
-    for c in report.checks:
-        status = "pass" if c.passed else "fail"
+    for i in range(report.num_pairs):
+        status = "pass" if report.pair_passed[i] else "fail"
+        row = f"{int(report.n[i])},{int(report.m[i])},{status}"
         if report.mode == "quad":
-            lines.append(f"{c.n},{c.m},{status},{c.abs_err!r},{c.rel_err!r}\n")
-        else:
-            lines.append(f"{c.n},{c.m},{status}\n")
+            row += f",{float(report.abs_err[i])!r},{float(report.rel_err[i])!r}"
+        lines.append(row + "\n")
     return "".join(lines)
 
 
@@ -432,6 +432,16 @@ def test_bilinear_missing_file(run_cli, tmp_path):
     code, _, err = run_cli("bilinear", str(tmp_path / "nope.txt"), b)
     assert code == 1
     assert "cannot read" in err
+
+
+def test_bilinear_file_not_utf8_names_the_file(run_cli, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff1\n")
+    one = _write(tmp_path / "one.txt", "1\n")
+    for a, b in ((str(bad), one), (one, str(bad))):
+        code, out, err = run_cli("bilinear", a, b)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
 
 
 def test_bilinear_zero_vector_stays_exact(run_cli, tmp_path):

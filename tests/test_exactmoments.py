@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 from loglegram import exactmoments
 from loglegram.errors import OrderLimitError
 from loglegram.exactmoments import (
-    diag_sum_term,
     entry,
     entry_diag,
     entry_offdiag,
@@ -61,14 +60,6 @@ def test_offdiag_rejects_diagonal():
         entry_offdiag(3, 3)
 
 
-def test_diag_sum_terms():
-    assert diag_sum_term(1) == Fraction(1, 6)
-    assert diag_sum_term(2) == Fraction(1, 60)
-    assert diag_sum_term(3) == Fraction(1, 210)
-    with pytest.raises(ValueError):
-        diag_sum_term(0)
-
-
 def test_order_bounds():
     with pytest.raises(OrderLimitError):
         entry(300, 0)
@@ -109,7 +100,8 @@ def test_gram_incremental_diagonal_matches_fresh_summation():
     gram = gram_exact(32)
     for n in range(33):
         fresh = Fraction(-1) - 2 * sum(
-            (diag_sum_term(j) for j in range(1, n + 1)), Fraction(0)
+            (Fraction(1, (2 * j - 1) * 2 * j * (2 * j + 1)) for j in range(1, n + 1)),
+            Fraction(0),
         )
         assert gram.entries[n][n] == entry_diag(n) == fresh / (2 * n + 1)
 
@@ -228,7 +220,7 @@ def test_series_limit_confirmed_by_large_partial_sum():
 def _fresh_sums(n_max):
     running, out = Fraction(-1), [Fraction(-1)]
     for j in range(1, n_max + 1):
-        running -= 2 * diag_sum_term(j)
+        running -= 2 * Fraction(1, (2 * j - 1) * 2 * j * (2 * j + 1))
         out.append(running)
     return out
 

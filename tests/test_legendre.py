@@ -9,44 +9,51 @@ from hypothesis import given, strategies as st
 
 from loglegram import cli, legendre
 from loglegram.errors import OrderLimitError
-from loglegram.exactmoments import diag_sum_term
-from loglegram.legendre import MonomialPoly, coeffs_exact, eval_batch, eval_shifted
-from loglegram.oracles import gauss_legendre_rule, monomial_log_moment
+from loglegram.legendre import MonomialPoly, coeffs_exact, recurrence_sweep
+from loglegram.oracles import gauss_legendre_rule
+
+
+def _last(n, x):
+    """P_n(2x-1): the last value of a sweep up to n."""
+    *_, value = recurrence_sweep(n, x)
+    return value
 
 
 def test_value_one_at_right_endpoint():
     for n in (0, 1, 2, 5, 17, 64):
-        assert eval_shifted(n, 1) == 1
+        assert _last(n, 1) == 1
 
 
 def test_alternating_value_at_left_endpoint():
     for n in (0, 1, 2, 5, 17, 64):
-        assert eval_shifted(n, 0) == (-1) ** n
+        assert _last(n, 0) == (-1) ** n
 
 
 def test_order_two_at_midpoint():
     # P_2(2x-1) = 6x^2 - 6x + 1
-    assert eval_shifted(2, 0.5) == -0.5
+    assert _last(2, 0.5) == -0.5
 
 
 def test_eval_outside_unit_interval_is_allowed():
     # P_3(t) = (5 t^3 - 3 t) / 2 at t = 2
-    assert eval_shifted(3, 1.5) == pytest.approx(17.0, abs=1e-12)
+    assert _last(3, 1.5) == pytest.approx(17.0, abs=1e-12)
 
 
 def test_eval_batch_endpoint_values():
-    assert eval_batch(2, 1) == [1, 1, 1]
-    assert eval_batch(2, 0) == [1, -1, 1]
-    assert eval_batch(2, 0.5) == [1, 0.0, -0.5]
+    assert list(recurrence_sweep(2, 1)) == [1, 1, 1]
+    assert list(recurrence_sweep(2, 0)) == [1, -1, 1]
+    assert list(recurrence_sweep(2, 0.5)) == [1, 0.0, -0.5]
 
 
 def test_eval_batch_bitwise_matches_single_eval():
+    # value n of a long sweep is bit for bit the end of a sweep up to n
     rng = random.Random(1404)
     for _ in range(20):
         x = rng.random()
-        values = eval_batch(64, x)
+        values = list(recurrence_sweep(64, x))
+        assert len(values) == 65
         for n, v in enumerate(values):
-            assert v == eval_shifted(n, x)
+            assert v == _last(n, x)
 
 
 def test_exact_coefficients_low_orders():
@@ -112,15 +119,9 @@ def test_leading_coefficient_is_central_binomial():
         assert coeffs_exact(n).coeffs[-1] == expected
 
 
-def test_monomial_eval_is_exact():
-    # P_3(2x-1) is odd about x = 1/2
-    assert coeffs_exact(3).eval(Fraction(1, 2)) == 0
-    assert coeffs_exact(4).eval(Fraction(1)) == 1
-
-
 def test_horner_agrees_with_recurrence():
-    # 100 random rationals in [0, 1]; the exact paths must agree exactly
-    # and the floating recurrence must track the exact value closely.
+    # 100 random rationals in [0, 1]; the exact recurrence must equal the
+    # coefficient sum exactly and the floating one track it closely.
     rng = random.Random(20260809)
     points = []
     for _ in range(100):
@@ -129,9 +130,9 @@ def test_horner_agrees_with_recurrence():
     for n in range(65):
         poly = coeffs_exact(n)
         for x in points:
-            exact = poly.eval(x)
-            assert eval_shifted(n, x) == exact
-            approx = eval_shifted(n, float(x))
+            exact = sum(c * x**k for k, c in enumerate(poly.coeffs))
+            assert _last(n, x) == exact
+            approx = _last(n, float(x))
             assert math.isclose(approx, float(exact), rel_tol=1e-13, abs_tol=1e-13)
 
 
@@ -139,23 +140,13 @@ def test_bounded_on_unit_interval_grid():
     worst = 0.0
     for i in range(1000):
         x = i / 999
-        worst = max(worst, max(abs(v) for v in eval_batch(128, x)))
+        worst = max(worst, max(abs(v) for v in recurrence_sweep(128, x)))
     assert worst <= 1 + 1e-12
 
 
 @given(st.integers(min_value=0, max_value=128), st.floats(min_value=0.0, max_value=1.0))
 def test_bounded_on_unit_interval_property(n, x):
-    assert abs(eval_shifted(n, x)) <= 1 + 1e-12
-
-
-@pytest.mark.parametrize("func", [eval_shifted, eval_batch])
-def test_eval_order_bounds(func):
-    with pytest.raises(OrderLimitError):
-        func(legendre.MAX_ORDER + 1, 0.5)
-    with pytest.raises(ValueError):
-        func(-1, 0.5)
-    with pytest.raises(ValueError):
-        func(2.0, 0.5)
+    assert abs(_last(n, x)) <= 1 + 1e-12
 
 
 def test_coeffs_order_bounds():
@@ -200,8 +191,6 @@ _CLI_BAD = (True, 2.0, "3e0")
             lambda v: legendre.check_order(v, math.inf, minimum=1), 1, _PY_BAD,
             id="check_order-minimum-1",
         ),
-        pytest.param(diag_sum_term, 1, _PY_BAD, id="diag_sum_term"),
-        pytest.param(monomial_log_moment, 0, _PY_BAD, id="monomial_log_moment"),
         pytest.param(gauss_legendre_rule, 1, _PY_BAD, id="gauss_legendre_rule"),
         pytest.param(_via_cli("entry", None, "0"), 0, _CLI_BAD, id="cli-entry-order"),
         pytest.param(_via_cli("gram", None), 0, _CLI_BAD, id="cli-gram-size"),

@@ -2,7 +2,10 @@ import ast
 import importlib
 import inspect
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -12,23 +15,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from loglegram import exactmoments, oracles
 from loglegram.errors import OrderLimitError
-from loglegram.legendre import MAX_ORDER, coeffs_exact
+from loglegram.legendre import MAX_ORDER, coeffs_exact, recurrence_sweep
 from loglegram.oracles import (
     exact_entry_oracle,
     gauss_legendre_rule,
-    monomial_log_moment,
     quad_entry_oracle,
     shifted_legendre_table,
     verify_range,
 )
-
-
-def test_monomial_log_moments():
-    assert monomial_log_moment(0) == Fraction(-1)
-    assert monomial_log_moment(1) == Fraction(-1, 4)
-    assert monomial_log_moment(3) == Fraction(-1, 16)
-    with pytest.raises(ValueError):
-        monomial_log_moment(-1)
 
 
 def test_exact_oracle_point_values():
@@ -41,9 +35,9 @@ def test_exact_oracle_point_values():
 
 
 def test_exact_oracle_matches_fraction_term_sum():
-    # reference: one Fraction per monomial term, each moment taken from
-    # monomial_log_moment, so the oracle's integer weights big // (k+1)**2
-    # are tied to the public moments
+    # reference: one Fraction per monomial term, each log moment of x**k
+    # taken as -1/(k+1)**2, so the oracle's integer weights big // (k+1)**2
+    # are tied to the moments themselves
     def term_sum(n, m):
         a, b = coeffs_exact(n).coeffs, coeffs_exact(m).coeffs
         conv = [0] * (len(a) + len(b) - 1)
@@ -51,7 +45,7 @@ def test_exact_oracle_matches_fraction_term_sum():
             for j, bj in enumerate(b):
                 conv[i + j] += ai * bj
         return sum(
-            (c * monomial_log_moment(k) for k, c in enumerate(conv) if c), Fraction(0)
+            (c * Fraction(-1, (k + 1) ** 2) for k, c in enumerate(conv) if c), Fraction(0)
         )
 
     pairs = [(n, m) for n in range(25) for m in range(25)]
@@ -122,16 +116,34 @@ def test_rule_is_cached_and_read_only():
         rule.weights[0] = 0.0
 
 
-def test_table_matches_scalar_evaluation():
-    from loglegram.legendre import eval_batch
+def test_import_leaves_numpy_polynomial_unloaded():
+    # leggauss is imported on the first rule, so that only the quadrature
+    # paths pay for numpy.polynomial; a fresh interpreter shows it
+    package_root = str(pathlib.Path(oracles.__file__).resolve().parent.parent)
+    code = (
+        "import sys, loglegram\n"
+        "before = 'numpy.polynomial' in sys.modules\n"
+        "loglegram.gauss_legendre_rule(2)\n"
+        "print(before, 'numpy.polynomial' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=package_root),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "False True\n"
 
+
+def test_table_matches_scalar_evaluation():
     # the product-rule nodes the oracle evaluates on, and a geometric
     # sweep down to 2**-64
     nodes, _ = oracles._quad_kernel(63)
     x = np.concatenate([[0.0, 0.123, 0.5, 0.875, 1.0], np.geomspace(2.0**-64, 1.0, 200), nodes])
     table = shifted_legendre_table(x, 24)
     for j, xj in enumerate(x):
-        assert table[:, j].tolist() == eval_batch(24, float(xj))
+        assert table[:, j].tolist() == list(recurrence_sweep(24, float(xj)))
 
 
 def test_quad_oracle_point_values():
@@ -299,7 +311,7 @@ def test_verify_quad_errors_are_the_single_oracle_errors(rule, fault):
     rule = rule or gauss_legendre_rule(21)  # the default: the smallest exact rule
     swept = oracles._quad_gram(20, rule)
     assert np.array_equal(swept, swept.T)
-    for c in report.checks:
+    for c in _all_pairs(report):
         exact = float(closed(c.n, c.m))
         single = quad_entry_oracle(c.n, c.m, rule)
         assert c.abs_err == abs(swept[c.n, c.m] - exact)
@@ -328,7 +340,8 @@ def test_verify_gram_side_is_the_entry_side(mode):
     max_order = 17 if mode == "exact" else 31
     by_gram = verify_range(max_order, mode)
     by_entry = verify_range(max_order, mode, entry_fn=exactmoments.entry)
-    assert by_gram.checks == by_entry.checks
+    for name in ("n", "m", "pair_passed", "abs_err", "rel_err"):
+        assert np.array_equal(getattr(by_gram, name), getattr(by_entry, name)), name
 
 
 SWEEPS = {
@@ -342,10 +355,25 @@ SWEEPS = {
 }
 
 
+def _all_pairs(report):
+    """Reference: a ``PairCheck`` for every pair, read from the arrays one by one."""
+    checks = []
+    for i in range(report.num_pairs):
+        errs = (None, None)
+        if report.abs_err is not None:
+            errs = (float(report.abs_err[i]), float(report.rel_err[i]))
+        n, m, passed = int(report.n[i]), int(report.m[i]), bool(report.pair_passed[i])
+        checks.append(oracles.PairCheck(n, m, passed, *errs))
+    return checks
+
+
 @pytest.mark.parametrize("sweep", SWEEPS)
 def test_report_summaries_are_lazy_and_match_the_checks(sweep, monkeypatch):
     max_order, mode, settings = SWEEPS[sweep]
     report = verify_range(max_order, mode, **settings)
+    checks = _all_pairs(report)
+    rows, cols = np.tril_indices(max_order + 1)
+    assert np.array_equal(report.n, rows) and np.array_equal(report.m, cols)
     built, pair_check = [], oracles.PairCheck
 
     def counted(*args):
@@ -363,12 +391,8 @@ def test_report_summaries_are_lazy_and_match_the_checks(sweep, monkeypatch):
         report.worst_pair,
     )
     num_pairs, num_passed, passed, failures, worst_abs, worst_rel, worst_pair = summaries
+    # only the failing pairs are built
     assert len(built) == len(failures)
-    assert "checks" not in vars(report)
-
-    checks = report.checks
-    assert report.checks is checks
-    assert len(built) == len(failures) + len(checks)
     assert num_pairs == len(checks) == (max_order + 1) * (max_order + 2) // 2
     assert num_passed == sum(c.passed for c in checks)
     assert passed is all(c.passed for c in checks)
@@ -386,22 +410,11 @@ def test_report_summaries_are_lazy_and_match_the_checks(sweep, monkeypatch):
         assert worst_pair == (worst.n, worst.m)
         assert type(worst_pair[0]) is int and type(worst_pair[1]) is int
 
-    # the arrays behind the cached checks cannot change under them
+    # the arrays every summary is read from cannot change under them
     with pytest.raises(ValueError):
         report.pair_passed[0] = not report.pair_passed[0]
-
-
-def test_report_equality_compares_mode_order_and_checks():
-    report = verify_range(5, "exact")
-    assert report == verify_range(5, "exact")
-    assert report != verify_range(4, "exact")
-    assert report != verify_range(5, "quad")
-    flipped = oracles.VerificationReport(
-        "exact", 5, report.n, report.m, report.pair_passed.copy()
-    )
-    assert flipped == report
-    flipped = oracles.VerificationReport("exact", 5, report.n, report.m, ~report.pair_passed)
-    assert flipped != report
+    arrays = (report.n, report.m, report.pair_passed, report.abs_err, report.rel_err)
+    assert not any(a.flags.writeable for a in arrays if a is not None)
 
 
 def test_exact_sums_are_the_single_oracle():
@@ -456,7 +469,6 @@ def test_oracles_are_structurally_independent():
         oracles._quad_kernel,
         oracles._quad_gram,
         oracles._exact_sums,
-        monomial_log_moment,
     ):
         source = inspect.getsource(func)
         assert "exactmoments" not in source, func.__name__
