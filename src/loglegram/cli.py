@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -48,7 +49,10 @@ class _Parser(argparse.ArgumentParser):
 def _json_cell(value):
     """Exact values as "p/q" with explicit denominator, others as a finite float."""
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        try:
+            return f"{value.numerator}/{value.denominator}"
+        except ValueError:  # str(int) refuses past 4,300 digits, Decimal prints any length
+            return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
     value = float(value)
     if not math.isfinite(value):
         raise _NumericalError(f"non-finite value {value!r} cannot be serialized")

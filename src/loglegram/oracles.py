@@ -2,10 +2,10 @@
 
 Two oracles, sharing no formula with :mod:`loglegram.exactmoments`:
 
-* an exact symbolic one: expand P_n(2x-1) P_m(2x-1) in the monomial
-  basis with integer coefficients and integrate against the log moments
-  integral x**k log(x) dx on [0, 1]  =  -1/(k+1)**2, as one integer sum
-  over the common denominator lcm(1..n+m+1)**2;
+* an exact symbolic one, up to MAX_ORDER: integrate P_n(2x-1) P_m(2x-1)
+  against the log moments -1/(k+1)**2 of x**k as one integer sum, a pair
+  by its monomial expansion, a sweep by the three-term recurrence (two
+  derivations, tied together only by the tests);
 
 * a floating one: a Gauss-Legendre product rule.  Since -log(x) is the
   integral of dt/t over [x, 1], Fubini gives
@@ -26,15 +26,16 @@ Two oracles, sharing no formula with :mod:`loglegram.exactmoments`:
 
 ``verify_range`` compares the closed-form Gram from ``exactmoments``
 against either oracle on all pairs at once and reports per-pair results
-as arrays: the exact oracle's sums for every pair come from one integer
-product C H C^T, the quadrature for every pair from symmetric products
-of the weighted recurrence table with itself, summed over node chunks
-so that the table stays bounded in memory at any order.
+as arrays: the exact oracle's sums for every pair come from the integer
+recurrence in O(max_order**2) steps, the quadrature for every pair from
+symmetric products of the weighted recurrence table with itself, summed
+over node chunks so that the table stays bounded in memory at any order.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +46,6 @@ from .errors import OrderLimitError
 from .legendre import MAX_ORDER, check_order, coeffs_exact, recurrence_sweep
 
 __all__ = [
-    "EXACT_ORACLE_MAX_ORDER",
     "MAX_QUAD_DEGREE",
     "QUAD_ABS_TOL",
     "QUAD_REL_TOL",
@@ -58,12 +58,6 @@ __all__ = [
     "shifted_legendre_table",
     "verify_range",
 ]
-
-#: Cap on the exact oracle, per pair and per sweep; product coefficients
-#: reach ~34**n scale (5.83**n squared).  A full sweep at the cap, 8,385
-#: pairs, took 0.35-0.49 s over ten fresh processes on a shared 2-vCPU
-#: Intel Xeon VM (Python 3.11.7).
-EXACT_ORACLE_MAX_ORDER = 128
 
 #: Cap on the Gauss rule: the smallest one exact for every pair up to
 #: MAX_ORDER (n + m <= 512).
@@ -79,7 +73,7 @@ QUAD_ABS_TOL = 1e-13
 
 
 def exact_entry_oracle(n: int, m: int) -> Fraction:
-    """N[n, m] by exact monomial expansion, independent of the closed forms.
+    """N[n, m] by exact monomial expansion, n, m <= MAX_ORDER, independent of the closed forms.
 
     Convolves the integer coefficient vectors of P_n(2x-1) and
     P_m(2x-1), then integrates the product against the log moments
@@ -87,8 +81,8 @@ def exact_entry_oracle(n: int, m: int) -> Fraction:
     denominator big = lcm(1..n+m+1)**2, of which each moment is the
     whole multiple -(big // (k+1)**2) / big.
     """
-    check_order(n, EXACT_ORACLE_MAX_ORDER, name="n")
-    check_order(m, EXACT_ORACLE_MAX_ORDER, name="m")
+    check_order(n, name="n")
+    check_order(m, name="m")
     a = coeffs_exact(n).coeffs
     b = coeffs_exact(m).coeffs
     conv = [0] * (len(a) + len(b) - 1)
@@ -214,31 +208,32 @@ def _quad_gram(n_max: int, rule: QuadratureRule | None) -> np.ndarray:
 
 
 def _exact_sums(n_max: int):
-    """Return (S, big) with N[n, m] = -S[n, m] / big for all n, m <= n_max.
+    """Return (sums, big), N[n, m] = -sums[i] / big for the i-th pair of np.tril_indices(n_max + 1).
 
-    The exact oracle's integer sum for every pair at once: with C the
-    lower-triangular matrix of the ``coeffs_exact`` rows and the Hankel
-    matrix H[k, l] = big // (k+l+1)**2 over big = lcm(1..2*n_max+1)**2,
-    the oracle's sum is S = C H C^T, in Python integers.  Row n of C is
-    zero past column n, so for m <= n only the leading (n+1) x (n+1)
-    blocks of C and H take part: S[n, :n+1] = C_n (C[n, :n+1] H_n) with
-    C_n, H_n those blocks.  The lower triangle is built row by row and
-    mirrored, so S is a full, exactly symmetric object array.
+    sums[i] = mu(P_n P_m) for mu(x**k) = big // (k+1)**2, big =
+    lcm(1..2*n_max+1)**2.  ``rows`` applies
+    (k+1) P_{k+1} = (2k+1) (2x-1) P_k - k P_{k-1} under mu, two rows at a
+    time (the mixed moments of Gautschi's modified Chebyshev algorithm):
+    over mu(P_k x**l), whose column 0 is row 0, then over the rows.
+    ``times`` moves 2x-1 onto the columns: x**l -> 2 x**(l+1) - x**l and
+    P_m -> ((m+1) P_{m+1} + m P_{m-1}) / (2m+1).  Each row is one column
+    shorter: the next would need degree 2*n_max + 1.  Each quotient is mu
+    of an integer polynomial, so every division is exact.
     """
-    size = n_max + 1
-    big = math.lcm(*range(1, 2 * n_max + 2)) ** 2
-    index = np.arange(size)
-    hankel = np.array([big // (j + 1) ** 2 for j in range(2 * size - 1)], dtype=object)
-    h = hankel[np.add.outer(index, index)]
-    c = np.zeros((size, size), dtype=object)
-    for n in range(size):
-        c[n, : n + 1] = coeffs_exact(n).coeffs
-    sums = np.empty((size, size), dtype=object)
-    for n in range(size):
-        sums[n, : n + 1] = c[: n + 1, : n + 1] @ (c[n, : n + 1] @ h[: n + 1, : n + 1])
-    rows, cols = np.tril_indices(size, -1)
-    sums[cols, rows] = sums[rows, cols]
-    return sums, big
+    def rows(first, times):
+        prev, row = [0] * len(first), first
+        for k in itertools.count():
+            yield row
+            prev, row = row, [
+                ((2 * k + 1) * times(row, j) - k * prev[j]) // (k + 1) for j in range(len(row) - 1)
+            ]
+
+    top = 2 * n_max
+    big = math.lcm(*range(1, top + 2)) ** 2
+    moments = rows([big // (k + 1) ** 2 for k in range(top + 1)], lambda t, l: 2 * t[l + 1] - t[l])
+    first = [t[0] for _, t in zip(range(top + 1), moments)]
+    legendre = rows(first, lambda s, m: ((m + 1) * s[m + 1] + m * s[m - 1]) // (2 * m + 1))
+    return [s for n, row in zip(range(n_max + 1), legendre) for s in row[: n + 1]], big
 
 
 @dataclass(frozen=True)
@@ -331,12 +326,11 @@ def verify_range(
     """Check the closed forms against an oracle on all pairs up to max_order.
 
     ``mode`` selects the oracle: "exact" demands perfect rational
-    equality against the monomial oracle (max_order capped at
-    EXACT_ORACLE_MAX_ORDER; passing ``rule``, which it cannot honour,
-    raises ValueError); "quad" accepts relative deviation <=
-    QUAD_REL_TOL, or absolute deviation <= QUAD_ABS_TOL once the value
-    underflows that scale (max_order capped at MAX_ORDER).  Failures are
-    recorded in the report, never raised.
+    equality against the symbolic oracle (passing ``rule``, which it
+    cannot honour, raises ValueError); "quad" accepts relative deviation
+    <= QUAD_REL_TOL, or absolute deviation <= QUAD_ABS_TOL once the value
+    underflows that scale.  Both cap max_order at MAX_ORDER.  Failures
+    are recorded in the report, never raised.
     The quad oracle takes the smallest exact rule, max_order + 1 nodes,
     unless ``rule`` is given, and refuses only a rule too small for the
     span (see ``_quad_kernel``), so default sweeps reach MAX_ORDER and a
@@ -344,13 +338,14 @@ def verify_range(
 
     The closed-form side is one Gram, ``gram_exact`` or ``gram_float``
     (the latter indexed as one array).  The exact oracle evaluates all
-    pairs in one matrix product, the quad oracle in one symmetric product
-    per node chunk of its table (see ``_quad_gram``).  Exact pairs are compared by
-    cross-multiplication.  With the same rule, the quad sweep sums in
-    another order than ``quad_entry_oracle``, so the two agree to within
-    a few ulps of |N| <= 1, not bit for bit; by default they also take
-    rules of different sizes.  The report holds the per-pair results as
-    arrays and builds ``PairCheck`` objects only when asked.
+    pairs by one integer recurrence (see ``_exact_sums``), the quad oracle
+    in one symmetric product per node chunk of its table (see
+    ``_quad_gram``).  Exact pairs are compared by cross-multiplication.
+    With the same rule, the quad sweep sums in another order than
+    ``quad_entry_oracle``, so the two agree to within a few ulps of
+    |N| <= 1, not bit for bit; by default they also take rules of
+    different sizes.  The report holds the per-pair results as arrays and
+    builds ``PairCheck`` objects only when asked.
 
     ``entry_fn`` substitutes the closed-form side, pair by pair, which is
     the hook the test suite uses to inject a perturbed entry and watch
@@ -365,8 +360,7 @@ def verify_range(
         raise ValueError(f"mode must be 'exact' or 'quad', got {mode!r}")
     if mode == "exact" and rule is not None:
         raise ValueError("rule applies to quad sweeps only")
-    cap = EXACT_ORACLE_MAX_ORDER if mode == "exact" else MAX_ORDER
-    check_order(max_order, cap, name="max_order")
+    check_order(max_order, name="max_order")
 
     rows, cols = np.tril_indices(max_order + 1)
 
@@ -377,9 +371,7 @@ def verify_range(
             entry_fn = exactmoments.gram_exact(max_order).at
         closed = [entry_fn(n, m) for n, m in pairs]
         # p/q == -S/big, cross-multiplied: no Fraction per pair
-        passed = [
-            p.numerator * big == -s * p.denominator for p, s in zip(closed, sums[rows, cols])
-        ]
+        passed = [p.numerator * big == -s * p.denominator for p, s in zip(closed, sums)]
         return VerificationReport(mode, max_order, rows, cols, np.array(passed, dtype=bool))
 
     # the table is freed on return, before the closed side and the report

@@ -3,6 +3,7 @@ import json
 import pathlib
 import random
 import subprocess
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -192,7 +193,9 @@ def test_verify_quad_json_lists_failures(run_cli, monkeypatch):
 
 
 def test_verify_exact_over_cap(run_cli):
-    code, out, err = run_cli("verify", "--max-order", "129", "--oracle", "exact")
+    code, out, _ = run_cli("verify", "--max-order", "256", "--oracle", "exact")
+    assert (code, out) == (0, "33153/33153 pairs exact\n")
+    code, out, err = run_cli("verify", "--max-order", "257", "--oracle", "exact")
     assert code == 1
     assert out == ""
     assert "exceeds" in err
@@ -240,8 +243,7 @@ def test_verify_quad_refuses_panels(run_cli):
 
 
 def test_verify_refuses_max_order_cap(run_cli):
-    # no oracle can honour a raised cap: quad sweeps stop at MAX_ORDER,
-    # exact ones at EXACT_ORACLE_MAX_ORDER
+    # no oracle can honour a raised cap: both sweeps stop at MAX_ORDER
     for oracle, cap in (("exact", "50"), ("quad", "300")):
         for fmt in ("plain", "csv", "json"):
             code, out, err = run_cli(
@@ -425,6 +427,31 @@ def test_bilinear_integer_beyond_double_range_is_input_error(run_cli, tmp_path):
     # on its own the integer file is an exact form
     code, out, _ = run_cli("bilinear", integers, integers, "--format", "json")
     assert code == 0 and json.loads(out)["mode"] == "exact"
+
+
+def test_exact_results_past_the_int_digit_limit_print(run_cli, tmp_path):
+    # str(int) refuses more than 4,300 digits; results are printed in full,
+    # while input lines stay under that limit
+    nines = _write(tmp_path / "nines.txt", "9" * 4000 + "\n")
+    # -(10**4000 - 1)**2 = -(10**8000 - 2 * 10**4000 + 1), over N[0, 0] = -1
+    value = "-" + "9" * 3999 + "8" + "0" * 3999 + "1/1"
+    code, out, err = run_cli("bilinear", nines, nines)
+    assert (code, out, err) == (0, value + "\n", "")
+    code, out, err = run_cli("bilinear", nines, nines, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == '{"mode":"exact","value":"' + value + '"}\n'
+    entry = exactmoments.entry(5000, 5000, max_order=5000)
+    for fmt in ("plain", "json"):
+        argv = ("entry", "5000", "5000", "--exact", "--max-order-cap", "5000", "--format", fmt)
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        text = json.loads(out)["value"] if fmt == "json" else out.removesuffix("\n")
+        p, q = (int(Decimal(k)) for k in text.split("/"))  # int(str) would refuse them
+        assert (p, q) == (entry.numerator, entry.denominator) and len(text) > 8000
+    too_long = _write(tmp_path / "long.txt", "9" * 5000 + "\n")
+    code, out, err = run_cli("bilinear", too_long, nines)
+    assert (code, out) == (1, "")
+    assert "unparseable value" in err
 
 
 def test_bilinear_missing_file(run_cli, tmp_path):

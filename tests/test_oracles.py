@@ -55,8 +55,11 @@ def test_exact_oracle_matches_fraction_term_sum():
 
 
 def test_exact_oracle_cap():
-    with pytest.raises(OrderLimitError):
-        exact_entry_oracle(oracles.EXACT_ORACLE_MAX_ORDER + 1, 0)
+    assert exact_entry_oracle(MAX_ORDER, MAX_ORDER) < 0
+    with pytest.raises(OrderLimitError, match="n 257 exceeds the configured maximum 256"):
+        exact_entry_oracle(MAX_ORDER + 1, 0)
+    with pytest.raises(OrderLimitError, match="m 257 exceeds the configured maximum 256"):
+        exact_entry_oracle(0, MAX_ORDER + 1)
 
 
 def test_rule_degree_one_is_midpoint():
@@ -417,20 +420,49 @@ def test_report_summaries_are_lazy_and_match_the_checks(sweep, monkeypatch):
     assert not any(a.flags.writeable for a in arrays if a is not None)
 
 
-def test_exact_sums_are_the_single_oracle():
+def test_exact_sums_are_the_single_oracle(monkeypatch):
+    # the sweep's recurrence and the single oracle's monomial expansion are
+    # two derivations: the sweep builds no coefficient vector
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sweep built a coefficient vector")
+
+    monkeypatch.setattr(oracles, "coeffs_exact", unreachable)
     sums, big = oracles._exact_sums(40)
+    monkeypatch.undo()
     assert big == math.lcm(*range(1, 82)) ** 2
-    assert np.array_equal(sums, sums.T)
-    pairs = [(n, m) for n in range(41) for m in range(n + 1)]
-    assert len(pairs) == 861
-    for n, m in pairs:
-        assert Fraction(-sums[n, m], big) == exact_entry_oracle(n, m), (n, m)
+    pairs = list(zip(*np.tril_indices(41)))
+    assert len(pairs) == len(sums) == 861
+    for (n, m), s in zip(pairs, sums):
+        assert Fraction(-s, big) == exact_entry_oracle(int(n), int(m)), (n, m)
+
+
+def test_exact_sums_past_order_128_are_the_single_oracle():
+    sums, big = oracles._exact_sums(MAX_ORDER)
+    assert len(sums) == 33153
+    for n in (129, 200, 256):
+        for m in sorted({0, 1, 2, n // 3, n // 2, n - 2, n - 1, n}):
+            s = sums[n * (n + 1) // 2 + m]  # the pair's place in tril_indices order
+            assert Fraction(-s, big) == exact_entry_oracle(n, m), (n, m)
+
+
+@pytest.mark.parametrize("cell", [(256, 0), (256, 256), (200, 199), (129, 64)])
+def test_exact_sweep_localises_a_tiny_fault(cell):
+    # one cell off by one part in 2**1000 fails, and only that pair
+    gram = exactmoments.gram_exact(MAX_ORDER)
+
+    def perturbed(n, m):
+        value = gram.at(n, m)
+        return value * (1 + Fraction(1, 2**1000)) if (n, m) == cell else value
+
+    report = verify_range(MAX_ORDER, "exact", entry_fn=perturbed)
+    assert [(c.n, c.m) for c in report.failures] == [cell]
+    assert report.num_passed == report.num_pairs - 1 == 33152
 
 
 def test_verify_caps():
-    assert verify_range(oracles.EXACT_ORACLE_MAX_ORDER, "exact").num_passed == 8385
-    with pytest.raises(OrderLimitError):
-        verify_range(129, "exact")
+    assert verify_range(MAX_ORDER, "exact").num_passed == 33153
+    with pytest.raises(OrderLimitError, match="max_order 257 exceeds the configured maximum 256"):
+        verify_range(257, "exact")
     with pytest.raises(OrderLimitError):
         verify_range(257, "quad")
     with pytest.raises(ValueError):

@@ -1,0 +1,53 @@
+"""README.md states names and values; each must hold for the package as it is."""
+
+import importlib
+import pathlib
+import pkgutil
+import re
+from fractions import Fraction
+
+import pytest
+
+import loglegram
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _library_block() -> list:
+    """The lines of the first python code block under "## Library"."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```python", text.index("## Library"))
+    return text[start : text.index("```", start + 3)].splitlines()
+
+
+def test_every_upper_case_name_resolves():
+    # a constant removed from the package must leave the README too
+    modules = [loglegram] + [
+        importlib.import_module(f"loglegram.{info.name}")
+        for info in pkgutil.iter_modules(loglegram.__path__)
+    ]
+    names = set(re.findall(r"`([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+)`", README.read_text(encoding="utf-8")))
+    assert "MAX_ORDER" in names
+    missing = [name for name in sorted(names) if not any(hasattr(m, name) for m in modules)]
+    assert missing == []
+
+
+# (the call as written in the Library block, its stated value, that value)
+LIBRARY = [
+    ("lg.entry(2, 1)", "Fraction(1, 4)", Fraction(1, 4)),
+    ("lg.entry_diag(2)", "Fraction(-41, 150)", Fraction(-41, 150)),
+    ("lg.gram_float(2).at(2, 2)", "-0.2733333333333333", -0.2733333333333333),
+    ("lg.bilinear_log_form([1, 1], [1, 1], lg.gram_exact(1))", "Fraction(-4, 9)", Fraction(-4, 9)),
+    ("lg.log_expansion_coeffs(2)", "[-1, 3/2, -5/6]", [-1, Fraction(3, 2), Fraction(-5, 6)]),
+    ("lg.expansion_l2_error(8).l2_error", "exactly 1/9", 1 / 9),
+]
+
+
+@pytest.mark.parametrize("call, stated, value", LIBRARY)
+def test_library_block_values_hold(call, stated, value):
+    lines = [line for line in _library_block() if line.startswith(call + " ")]
+    assert len(lines) == 1, call
+    assert lines[0].split("#", 1)[1].strip().startswith(stated)
+    result = eval(call, {"lg": loglegram})
+    assert result == value
+    assert type(result) is type(value) or isinstance(value, float)
