@@ -100,7 +100,7 @@ def log_expansion_coeffs(order: int) -> list:
     c_n = (2n+1) (-1)**(n+1) / (n (n+1)) for n >= 1.  ``order`` is capped
     at MAX_EXPANSION_ORDER.
     """
-    check_order(order, MAX_EXPANSION_ORDER, name="order")
+    order = check_order(order, MAX_EXPANSION_ORDER, name="order")
     return [Fraction(-1)] + [(2 * n + 1) * _offdiag(n, 0) for n in range(1, order + 1)]
 
 
@@ -113,6 +113,7 @@ def expansion_l2_error(order: int) -> ExpansionReport:
     1/(order+1)**2.  The test suite cross-checks this against a graded
     quadrature of the residual.
     """
+    order = check_order(order, MAX_EXPANSION_ORDER, name="order")
     return ExpansionReport(
         order=order,
         coefficients=log_expansion_coeffs(order),
@@ -127,5 +128,5 @@ def diag_scaling_table(max_order: int) -> list:
     -1 - 2 sum_{j<=n} 1/((2j-1) 2j (2j+1)): strictly decreasing and
     bounded below by its limit -2 log 2.
     """
-    check_order(max_order, name="max_order")
+    max_order = check_order(max_order, name="max_order")
     return [(n, float(scaled)) for n, scaled in enumerate(scaled_diagonal(max_order))]

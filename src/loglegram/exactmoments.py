@@ -17,13 +17,17 @@ is the leading block of every larger one.  The module keeps one exact
 table of rows of N and one list of scaled diagonal values, each grown on
 demand to the largest order asked for and never past ``MAX_ORDER``
 (about 3 MiB when full): every exact cell and every stored diagonal
-value is built once per process.  Beside them it keeps one read-only
-float64 array of float(N[n, n]), grown to the largest ``gram_float``
-size asked for, past ``MAX_ORDER`` too (8 bytes per n), so each float
-diagonal value is rounded once per process.  With s = (2n+1) N[n, n]
-it is rounded as the one int division s.numerator / (s.denominator *
-(2n+1)): Python's int true division is correctly rounded, and it is
-the division ``Fraction.__float__`` performs, so the bits are those of
+value is built once per process.  Beside them it keeps two read-only
+float64 arrays.  The float Gram store holds float(N[n, m]) for the
+largest ``gram_float`` size asked for, never past ``MAX_ORDER`` (257**2
+doubles, about 516 KiB, when full), so each float cell up to the cap is
+built once per process; ``gram_float`` hands out copies of its leading
+block.  The float diagonal store holds float(N[n, n]), grown past
+``MAX_ORDER`` too (8 bytes per n), so each float diagonal value is
+rounded once per process.  With s = (2n+1) N[n, n] it is rounded as the
+one int division s.numerator / (s.denominator * (2n+1)): Python's int
+true division is correctly rounded, and it is the division
+``Fraction.__float__`` performs, so the bits are those of
 float(Fraction) with no reduced ``Fraction`` formed.  Each grown store
 is built new and published by one assignment, under a lock, so no
 caller sees a half-grown one.
@@ -77,8 +81,8 @@ class GramMatrix:
 
 def entry_offdiag(n: int, m: int, *, max_order=None) -> Fraction:
     """N[n, m] for n != m: (-1)**(n+m+1) / (|n-m| (n+m+1)), reduced."""
-    check_order(n, max_order, name="n")
-    check_order(m, max_order, name="m")
+    n = check_order(n, max_order, name="n")
+    m = check_order(m, max_order, name="m")
     if n == m:
         raise ValueError(
             f"entry_offdiag is undefined on the diagonal (n = m = {n}); use entry_diag"
@@ -115,10 +119,11 @@ def _continued(running: Fraction, first: int, n_max: int):
         yield running
 
 
-_lock = threading.RLock()  # growing the rows or the floats grows _diagonal inside it
+_lock = threading.RLock()  # growing one store may grow _diagonal or _float_diagonal inside it
 _diagonal = [Fraction(-1)]  # (2n+1) N[n, n] for n < len(_diagonal) <= MAX_ORDER + 1
 _rows = []  # rows of N, each len(_rows) long, for n < len(_rows) <= MAX_ORDER + 1
 _float_diagonal = np.empty(0)  # float(N[n, n]), read-only once grown; no cap
+_float_gram = np.empty((0, 0))  # float(N[n, m]), read-only once grown, n, m <= MAX_ORDER
 
 
 def _stored_diagonal(n_max: int) -> list:
@@ -151,6 +156,40 @@ def _rounded_diagonal(size: int) -> np.ndarray:
             grown.flags.writeable = False
             _float_diagonal = grown
         return _float_diagonal
+
+
+def _float_values(size: int) -> np.ndarray:
+    """A new (size+1) x (size+1) float64 array of float(N[n, m]), built in place.
+
+    Off the diagonal the divisor |n-m| (n+m+1) is |t_n - t_m| with
+    t_k = k (k+1), at most size * (2*size + 1): an integer below 2**53,
+    so exact as a double.  IEEE division of exact operands is correctly
+    rounded and sign-symmetric, so -(-1)**n / |t_n - t_m|, times
+    (-1)**m, equals float(Fraction) of the exact entry.  The diagonal is
+    a sum, so it is copied from the float diagonal store.
+    """
+    index = np.arange(size + 1, dtype=np.float64)
+    t = index * (index + 1)
+    values = np.subtract.outer(t, t)
+    np.abs(values, out=values)
+    parity = np.where(index % 2, -1.0, 1.0)
+    with np.errstate(divide="ignore"):
+        np.divide(-parity[:, None], values, out=values)
+    values *= parity
+    np.fill_diagonal(values, _rounded_diagonal(size)[: size + 1])
+    return values
+
+
+def _stored_float_gram(size: int) -> np.ndarray:
+    """The float Gram store, read-only, grown to cover size <= MAX_ORDER."""
+    global _float_gram
+    if len(_float_gram) <= size:
+        with _lock:
+            if len(_float_gram) <= size:
+                grown = _float_values(size)
+                grown.flags.writeable = False
+                _float_gram = grown
+    return _float_gram
 
 
 def _grown(rows: list, size: int) -> list:
@@ -191,7 +230,7 @@ def _exact_rows(size: int) -> list:
 
 def entry_diag(n: int, *, max_order=None) -> Fraction:
     """N[n, n] from the closed sum, as a reduced fraction."""
-    check_order(n, max_order, name="n")
+    n = check_order(n, max_order, name="n")
     for scaled in scaled_diagonal(n):
         pass
     return scaled / (2 * n + 1)
@@ -220,7 +259,7 @@ def gram_exact(size: int, *, max_order=None) -> GramMatrix:
     immutable.  The ``size`` check covers every index, so cells skip the
     per-entry validation.
     """
-    check_order(size, max_order, name="size")
+    size = check_order(size, max_order, name="size")
     return GramMatrix(
         order=size, mode="exact", entries=[row[: size + 1] for row in _exact_rows(size)[: size + 1]]
     )
@@ -229,26 +268,17 @@ def gram_exact(size: int, *, max_order=None) -> GramMatrix:
 def gram_float(size: int, *, max_order=None) -> GramMatrix:
     """Floating Gram matrix, each entry correctly rounded from the exact value.
 
-    Off the diagonal the divisor |n-m| (n+m+1) is |t_n - t_m| with
-    t_k = k (k+1), at most size * (2*size + 1): an integer below 2**53,
-    so exact as a double.  IEEE division of exact operands is correctly
-    rounded and sign-symmetric, so 1 / |t_n - t_m| times the exact sign
-    (-1)**(n+m+1) equals float(Fraction) of the exact entry.  All of it
-    happens in place in the one (size+1) x (size+1) float64 array that is
-    returned as the entries.  The diagonal is a sum, so it is rounded
-    from its exact rational value, once per process: the module's float
-    diagonal store is copied onto the array's diagonal, so the store
-    never belongs to the caller.
+    Up to ``MAX_ORDER`` the entries are a copy of the leading block of the
+    module's float Gram store, a read-only float64 array grown to the
+    largest such size asked for (at most 257**2 doubles, about 516 KiB),
+    so each float cell is built once per process; the copy is a fresh
+    writable array that belongs to the caller.  A larger size allowed by
+    ``max_order=`` is built fresh, by the same function, and adds nothing
+    to the store.
     """
-    check_order(size, max_order, name="size")
-    index = np.arange(size + 1, dtype=np.float64)
-    t = index * (index + 1)
-    values = np.subtract.outer(t, t)
-    np.abs(values, out=values)
-    with np.errstate(divide="ignore"):
-        np.reciprocal(values, out=values)
-    parity = np.where(index % 2, -1.0, 1.0)
-    values *= parity[:, None]
-    values *= -parity
-    np.fill_diagonal(values, _rounded_diagonal(size)[: size + 1])
+    size = check_order(size, max_order, name="size")
+    if size > MAX_ORDER:
+        values = _float_values(size)
+    else:
+        values = _stored_float_gram(size)[: size + 1, : size + 1].copy()
     return GramMatrix(order=size, mode="float", entries=values)

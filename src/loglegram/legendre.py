@@ -16,6 +16,7 @@ each term taken from the one before by an exact integer ratio.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import OrderLimitError
@@ -39,13 +40,17 @@ __all__ = [
 def check_order(n, max_order=None, *, name="order", minimum=0):
     """Validate an integer argument against [minimum, max_order].
 
-    This is the package's one integer validator.  Raises ValueError for
-    non-integer input (bool included) or a value below ``minimum``, and
-    OrderLimitError when the value exceeds ``max_order`` (defaulting to
-    the module-level MAX_ORDER; pass math.inf for no ceiling).
+    This is the package's one integer validator.  Any integer type is
+    accepted through ``operator.index`` (numpy integers included) and the
+    value is returned as a Python int, which callers use in its place.
+    Raises ValueError for non-integer input (bool included) or a value
+    below ``minimum``, and OrderLimitError when the value exceeds
+    ``max_order`` (defaulting to the module-level MAX_ORDER; pass
+    math.inf for no ceiling).
     """
-    if isinstance(n, bool) or not isinstance(n, int):
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
         raise ValueError(f"{name} must be an integer, got {n!r}")
+    n = operator.index(n)
     if n < minimum:
         bound = {0: "nonnegative", 1: "positive"}.get(minimum, f"at least {minimum}")
         raise ValueError(f"{name} must be {bound}, got {n}")
@@ -100,7 +105,7 @@ def coeffs_exact(n) -> MonomialPoly:
     c_{k+1} = -c_k (n-k) (n+k+1) / (k+1)**2, in O(n) products; the
     division is exact, since c_{k+1} is an integer.
     """
-    check_order(n)
+    n = check_order(n)
     c = (-1) ** n
     coeffs = [c]
     for k in range(n):

@@ -81,8 +81,8 @@ def exact_entry_oracle(n: int, m: int) -> Fraction:
     denominator big = lcm(1..n+m+1)**2, of which each moment is the
     whole multiple -(big // (k+1)**2) / big.
     """
-    check_order(n, name="n")
-    check_order(m, name="m")
+    n = check_order(n, name="n")
+    m = check_order(m, name="m")
     a = coeffs_exact(n).coeffs
     b = coeffs_exact(m).coeffs
     conv = [0] * (len(a) + len(b) - 1)
@@ -117,7 +117,7 @@ def gauss_legendre_rule(degree: int) -> QuadratureRule:
     Rules are cached per degree and their arrays are read-only, so every
     caller shares one copy.
     """
-    check_order(degree, MAX_QUAD_DEGREE, name="degree", minimum=1)
+    degree = check_order(degree, MAX_QUAD_DEGREE, name="degree", minimum=1)
     return _cached_rule(degree)
 
 
@@ -177,8 +177,8 @@ def quad_entry_oracle(n: int, m: int, rule: QuadratureRule | None = None) -> flo
     OrderLimitError.  No table is stored: only rows n and m of the
     recurrence are kept and weighted.
     """
-    check_order(n, name="n")
-    check_order(m, name="m")
+    n = check_order(n, name="n")
+    m = check_order(m, name="m")
     y, s = _quad_kernel(n + m, rule)
     rows = [p * s for k, p in enumerate(recurrence_sweep(max(n, m), y)) if k in (n, m)]
     return -float(rows[0] @ rows[-1])  # one row, squared, when n == m
@@ -360,7 +360,7 @@ def verify_range(
         raise ValueError(f"mode must be 'exact' or 'quad', got {mode!r}")
     if mode == "exact" and rule is not None:
         raise ValueError("rule applies to quad sweeps only")
-    check_order(max_order, name="max_order")
+    max_order = check_order(max_order, name="max_order")
 
     rows, cols = np.tril_indices(max_order + 1)
 

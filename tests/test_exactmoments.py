@@ -240,6 +240,7 @@ def empty_store(monkeypatch):
     monkeypatch.setattr(exactmoments, "_rows", [])
     monkeypatch.setattr(exactmoments, "_diagonal", [Fraction(-1)])
     monkeypatch.setattr(exactmoments, "_float_diagonal", np.empty(0))
+    monkeypatch.setattr(exactmoments, "_float_gram", np.empty((0, 0)))
 
 
 @pytest.fixture(scope="module")
@@ -358,21 +359,28 @@ def test_gram_float_over_sizes_out_of_order_matches_rounded_exact(float_referenc
 
 def test_float_diagonal_store_is_read_only_and_not_shared(empty_store):
     expected = [float(entry_diag(n)) for n in range(41)]
+    rounded = np.array([[float(entry(n, m)) for m in range(41)] for n in range(41)])
     for size in (20, 5, 40):
         gram = gram_float(size)
-        store = exactmoments._float_diagonal
-        assert not store.flags.writeable
-        assert not np.shares_memory(gram.entries, store)
-        with pytest.raises(ValueError):
-            store[0] = 0.0
+        for store in (exactmoments._float_diagonal, exactmoments._float_gram):
+            assert not store.flags.writeable
+            assert not np.shares_memory(gram.entries, store)
+            with pytest.raises(ValueError):
+                store[0] = 0.0
         np.fill_diagonal(gram.entries, 7.0)
         for again in (5, size):
             diagonal = np.diag(gram_float(again).entries).tolist()
             assert diagonal == expected[: again + 1], (size, again)
+        gram.entries[:] = -7.0  # every cell, off the diagonal too
+        for again in (0, 5, size):
+            block = rounded[: again + 1, : again + 1]
+            assert _same_bits(gram_float(again).entries, block), (size, again)
 
 
 def test_float_diagonal_past_max_order_retains_only_its_floats(empty_store):
     gram_exact(MAX_ORDER)  # the exact stores at their cap
+    gram_float(MAX_ORDER)  # and the float Gram store
+    stored = exactmoments._float_gram
     tracemalloc.start()
     try:
         gram_float(1024, max_order=1024)
@@ -382,3 +390,19 @@ def test_float_diagonal_past_max_order_retains_only_its_floats(empty_store):
     assert retained < 16 * 2**10  # 1025 doubles: about 8 KiB
     assert len(exactmoments._float_diagonal) == 1025
     assert len(exactmoments._rows) == len(exactmoments._diagonal) == MAX_ORDER + 1
+    assert exactmoments._float_gram is stored and len(stored) == MAX_ORDER + 1
+
+
+def test_float_gram_store_at_its_cap_retains_about_516_kib(empty_store):
+    entry_diag(MAX_ORDER)  # the exact diagonal, a store of its own
+    tracemalloc.start()
+    try:
+        for size in (10, 3, 100, MAX_ORDER, 40):
+            gram_float(size)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # each growth replaces the store: 257**2 doubles are 528,392 bytes, the
+    # float diagonal store adds 257 more, and no older store is kept
+    assert exactmoments._float_gram.shape == (MAX_ORDER + 1, MAX_ORDER + 1)
+    assert 8 * (MAX_ORDER + 1) ** 2 <= retained < 528 * 2**10

@@ -1,12 +1,17 @@
+import ast
 import contextlib
+import dataclasses
+import inspect
 import io
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import loglegram as lg
 from loglegram import cli, legendre
 from loglegram.errors import OrderLimitError
 from loglegram.legendre import MonomialPoly, coeffs_exact, recurrence_sweep
@@ -204,3 +209,63 @@ def test_integer_entry_points_reject_non_integers_and_low_values(func, minimum, 
     for value in (*bad_values, minimum - 1):
         with pytest.raises(ValueError):
             func(value)
+
+
+# every public call that takes integers, with the integers it is given here
+_INTEGER_CALLS = [
+    pytest.param(legendre.check_order, (5,), id="check_order"),
+    pytest.param(lambda n: legendre.check_order(n, n, minimum=n), (300,), id="check_order-bounds"),
+    pytest.param(lg.coeffs_exact, (7,), id="coeffs_exact"),
+    pytest.param(lg.entry, (4, 1), id="entry"),
+    pytest.param(lg.entry, (3, 3), id="entry-diagonal"),
+    pytest.param(lg.entry_diag, (5,), id="entry_diag"),
+    pytest.param(lg.entry_offdiag, (5, 2), id="entry_offdiag"),
+    pytest.param(lambda n, m: lg.entry(n, m, max_order=n), (300, 7), id="entry-max_order"),
+    pytest.param(lg.gram_exact, (6,), id="gram_exact"),
+    pytest.param(lg.gram_float, (6,), id="gram_float"),
+    pytest.param(lambda n: lg.gram_float(n, max_order=n), (300,), id="gram_float-max_order"),
+    pytest.param(lg.exact_entry_oracle, (5, 3), id="exact_entry_oracle"),
+    pytest.param(lg.quad_entry_oracle, (5, 3), id="quad_entry_oracle"),
+    pytest.param(lg.gauss_legendre_rule, (4,), id="gauss_legendre_rule"),
+    pytest.param(lg.verify_range, (6,), id="verify_range-exact"),
+    pytest.param(lambda n: lg.verify_range(n, "quad"), (6,), id="verify_range-quad"),
+    pytest.param(lg.log_expansion_coeffs, (5,), id="log_expansion_coeffs"),
+    pytest.param(lg.expansion_l2_error, (5,), id="expansion_l2_error"),
+    pytest.param(lg.diag_scaling_table, (4,), id="diag_scaling_table"),
+]
+
+
+def _same(a, b):
+    """Equal values of the same types, down to the ints inside Fractions and fields."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Fraction):
+        return a == b and type(b.numerator) is int and type(b.denominator) is int
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if dataclasses.is_dataclass(a):
+        fields = dataclasses.fields(a)
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in fields)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("numpy_int", [np.int64, np.int32])
+@pytest.mark.parametrize("func, args", _INTEGER_CALLS)
+def test_integer_entry_points_take_numpy_integers(func, args, numpy_int):
+    assert _same(func(*args), func(*map(numpy_int, args)))
+
+
+@pytest.mark.parametrize("func, args", _INTEGER_CALLS)
+def test_integer_entry_points_refuse_numpy_bools(func, args):
+    with pytest.raises(ValueError, match="must be an integer"):
+        func(np.bool_(True), *args[1:])
+
+
+def test_legendre_imports_no_numpy():
+    tree = ast.parse(inspect.getsource(legendre))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not any(name.split(".")[0] == "numpy" for name in imported), imported
