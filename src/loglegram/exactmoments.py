@@ -12,25 +12,17 @@ are correctly rounded from the exact values.  An off-diagonal entry is
 representable integers is correctly rounded, so the float Gram divides
 in numpy and needs rational arithmetic only for its diagonal.
 
-No closed form depends on the matrix size, so the exact Gram of order k
-is the leading block of every larger one.  The module keeps one exact
-table of rows of N and one list of scaled diagonal values, each grown on
-demand to the largest order asked for and never past ``MAX_ORDER``
-(about 3 MiB when full): every exact cell and every stored diagonal
-value is built once per process.  Beside them it keeps two read-only
-float64 arrays.  The float Gram store holds float(N[n, m]) for the
-largest ``gram_float`` size asked for, never past ``MAX_ORDER`` (257**2
-doubles, about 516 KiB, when full), so each float cell up to the cap is
-built once per process; ``gram_float`` hands out copies of its leading
-block.  The float diagonal store holds float(N[n, n]), grown past
-``MAX_ORDER`` too (8 bytes per n), so each float diagonal value is
-rounded once per process.  With s = (2n+1) N[n, n] it is rounded as the
-one int division s.numerator / (s.denominator * (2n+1)): Python's int
-true division is correctly rounded, and it is the division
-``Fraction.__float__`` performs, so the bits are those of
-float(Fraction) with no reduced ``Fraction`` formed.  Each grown store
-is built new and published by one assignment, under a lock, so no
-caller sees a half-grown one.
+No closed form depends on the matrix size, so the Gram of order k is the
+leading block of every larger one.  The module keeps four stores, each a
+table that only grows, so that every value in it is built once per
+process: the scaled diagonal (2n+1) N[n, n] and the rows of N, both up
+to ``MAX_ORDER`` (about 3 MiB when full), and two read-only float64
+arrays, float(N[n, m]) up to ``MAX_ORDER`` (257**2 doubles, about
+516 KiB) and float(N[n, n]) with no cap (8 bytes per n).  A store that
+does not cover a request is grown under one lock: a new table is built
+from the old one, only the new values computed, and published by one
+assignment, so no caller sees a half-grown table.  A request past a
+store's cap is built from its current table and not kept.
 """
 
 from __future__ import annotations
@@ -101,13 +93,12 @@ def scaled_diagonal(n_max: int):
 
     The n-th value is -1 - 2 * sum_{j=1..n} 1/((2j-1) 2j (2j+1)), so
     each step costs one summand, subtracted doubled as 1/((2j-1) j (2j+1)).
-    Values up to ``MAX_ORDER`` come from the module's stored list, which
-    grows to the largest n asked for; past it the sum continues, unstored,
-    from the last stored value.  ``entry_diag``, ``gram_exact``, ``gram_float``
-    and ``analysis.diag_scaling_table`` all read their diagonals from
-    here.  The order is not validated here.
+    Values up to ``MAX_ORDER`` come from the module's store; past it the
+    sum continues, unstored, from the last stored value.  ``entry_diag``,
+    ``gram_exact``, ``gram_float`` and ``analysis.diag_scaling_table`` all
+    read their diagonals from here.  The order is not validated here.
     """
-    stored = _stored_diagonal(min(n_max, MAX_ORDER))
+    stored = _diagonal.covering(min(n_max, MAX_ORDER))
     yield from stored[: n_max + 1]
     yield from _continued(stored[-1], len(stored), n_max)
 
@@ -119,43 +110,48 @@ def _continued(running: Fraction, first: int, n_max: int):
         yield running
 
 
-_lock = threading.RLock()  # growing one store may grow _diagonal or _float_diagonal inside it
-_diagonal = [Fraction(-1)]  # (2n+1) N[n, n] for n < len(_diagonal) <= MAX_ORDER + 1
-_rows = []  # rows of N, each len(_rows) long, for n < len(_rows) <= MAX_ORDER + 1
-_float_diagonal = np.empty(0)  # float(N[n, n]), read-only once grown; no cap
-_float_gram = np.empty((0, 0))  # float(N[n, m]), read-only once grown, n, m <= MAX_ORDER
+_lock = threading.RLock()  # growing one store may grow another inside it
 
 
-def _stored_diagonal(n_max: int) -> list:
-    """The stored scaled diagonal, grown to cover n_max <= MAX_ORDER."""
-    global _diagonal
-    if len(_diagonal) <= n_max:
-        with _lock:
-            if len(_diagonal) <= n_max:
-                _diagonal = _diagonal + list(_continued(_diagonal[-1], len(_diagonal), n_max))
-    return _diagonal
+class _Store:
+    """A table that only grows, each growth published whole under ``_lock``.
 
-
-def _rounded_diagonal(size: int) -> np.ndarray:
-    """The stored float(N[n, n]) for n = 0..at least size, read-only.
-
-    Only the new values are rounded, each by one int division.  Past
-    ``MAX_ORDER`` the exact sum is continued, unstored, from n =
-    ``MAX_ORDER`` + 1, so that tail is summed again only when the store
-    grows.
+    ``grow(table, size)`` returns a new table longer than ``size`` and
+    leaves ``table`` unchanged, so no reader sees a half-grown one.
     """
-    global _float_diagonal
-    if len(_float_diagonal) > size:
-        return _float_diagonal
-    with _lock:
-        old = len(_float_diagonal)
-        if old <= size:
-            tail = itertools.islice(scaled_diagonal(size), old, None)
-            rounded = [s.numerator / (s.denominator * (2 * n + 1)) for n, s in enumerate(tail, old)]
-            grown = np.concatenate([_float_diagonal, rounded])
-            grown.flags.writeable = False
-            _float_diagonal = grown
-        return _float_diagonal
+
+    def __init__(self, table, grow):
+        self.table = table
+        self.grow = grow
+
+    def covering(self, size: int):
+        """The table, first grown if its length does not exceed ``size``."""
+        if len(self.table) <= size:
+            with _lock:
+                if len(self.table) <= size:
+                    self.table = self.grow(self.table, size)
+        return self.table
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+def _rounded(diagonal: np.ndarray, size: int) -> np.ndarray:
+    """``diagonal`` extended to float(N[n, n]) for n = 0..size, read-only.
+
+    Only the new values are rounded.  With s = (2n+1) N[n, n] each is the
+    one int division s.numerator / (s.denominator * (2n+1)): Python's int
+    true division is correctly rounded, and it is the division
+    ``Fraction.__float__`` performs, so the bits are those of
+    float(Fraction) with no reduced ``Fraction`` formed.  Past
+    ``MAX_ORDER`` the exact sum is continued, unstored, so that tail is
+    summed again only when this store grows.
+    """
+    tail = itertools.islice(scaled_diagonal(size), len(diagonal), None)
+    new = [s.numerator / (s.denominator * (2 * n + 1)) for n, s in enumerate(tail, len(diagonal))]
+    return _read_only(np.concatenate([diagonal, new]))
 
 
 def _float_values(size: int) -> np.ndarray:
@@ -176,20 +172,8 @@ def _float_values(size: int) -> np.ndarray:
     with np.errstate(divide="ignore"):
         np.divide(-parity[:, None], values, out=values)
     values *= parity
-    np.fill_diagonal(values, _rounded_diagonal(size)[: size + 1])
+    np.fill_diagonal(values, _float_diagonal.covering(size)[: size + 1])
     return values
-
-
-def _stored_float_gram(size: int) -> np.ndarray:
-    """The float Gram store, read-only, grown to cover size <= MAX_ORDER."""
-    global _float_gram
-    if len(_float_gram) <= size:
-        with _lock:
-            if len(_float_gram) <= size:
-                grown = _float_values(size)
-                grown.flags.writeable = False
-                _float_gram = grown
-    return _float_gram
 
 
 def _grown(rows: list, size: int) -> list:
@@ -211,21 +195,11 @@ def _grown(rows: list, size: int) -> list:
     return grown
 
 
-def _exact_rows(size: int) -> list:
-    """Rows of N covering n = 0..size: the store, grown up to MAX_ORDER.
-
-    Past ``MAX_ORDER`` the store is extended into a throwaway table that
-    the caller alone holds.
-    """
-    global _rows
-    if len(_rows) > size:
-        return _rows
-    if size > MAX_ORDER:
-        return _grown(_rows, size)
-    with _lock:
-        if len(_rows) <= size:
-            _rows = _grown(_rows, size)
-        return _rows
+# Each is read through covering(); only _float_diagonal is asked past MAX_ORDER.
+_diagonal = _Store([Fraction(-1)], lambda old, n: old + list(_continued(old[-1], len(old), n)))
+_rows = _Store([], _grown)  # each row as long as the table
+_float_diagonal = _Store(np.empty(0), _rounded)
+_float_gram = _Store(np.empty((0, 0)), lambda old, size: _read_only(_float_values(size)))
 
 
 def entry_diag(n: int, *, max_order=None) -> Fraction:
@@ -252,33 +226,32 @@ def entry(n: int, m: int, *, max_order=None) -> Fraction:
 def gram_exact(size: int, *, max_order=None) -> GramMatrix:
     """Exact (size+1) x (size+1) Gram matrix with entries N[n, m].
 
-    The first call at a new largest order builds only the cells the
-    module's table lacks; every later call at or below it is a slice
-    copy.  The rows are fresh lists, so a caller may change them, and
-    their cells are ``Fraction``s shared with the table, which are
-    immutable.  The ``size`` check covers every index, so cells skip the
-    per-entry validation.
+    Up to ``MAX_ORDER`` the rows come from the module's exact store, so
+    only a call at a new largest size builds cells, and only the ones the
+    store lacks; a larger size allowed by ``max_order=`` extends a copy
+    of the store that is dropped with the result.  The rows are fresh
+    lists, so a caller may change them, and their cells are
+    ``Fraction``s shared with the store, which are immutable.  The
+    ``size`` check covers every index, so cells skip the per-entry
+    validation.
     """
     size = check_order(size, max_order, name="size")
-    return GramMatrix(
-        order=size, mode="exact", entries=[row[: size + 1] for row in _exact_rows(size)[: size + 1]]
-    )
+    rows = _rows.covering(size) if size <= MAX_ORDER else _grown(_rows.table, size)
+    entries = [row[: size + 1] for row in rows[: size + 1]]
+    return GramMatrix(order=size, mode="exact", entries=entries)
 
 
 def gram_float(size: int, *, max_order=None) -> GramMatrix:
     """Floating Gram matrix, each entry correctly rounded from the exact value.
 
-    Up to ``MAX_ORDER`` the entries are a copy of the leading block of the
-    module's float Gram store, a read-only float64 array grown to the
-    largest such size asked for (at most 257**2 doubles, about 516 KiB),
-    so each float cell is built once per process; the copy is a fresh
-    writable array that belongs to the caller.  A larger size allowed by
-    ``max_order=`` is built fresh, by the same function, and adds nothing
-    to the store.
+    Up to ``MAX_ORDER`` the entries are a fresh, writable copy of the
+    leading block of the module's float Gram store, so each float cell is
+    built once per process.  A larger size allowed by ``max_order=`` is
+    built fresh, by the same function, and adds nothing to that store.
     """
     size = check_order(size, max_order, name="size")
     if size > MAX_ORDER:
         values = _float_values(size)
     else:
-        values = _stored_float_gram(size)[: size + 1, : size + 1].copy()
+        values = _float_gram.covering(size)[: size + 1, : size + 1].copy()
     return GramMatrix(order=size, mode="float", entries=values)

@@ -21,9 +21,13 @@ from dataclasses import dataclass
 
 from .errors import OrderLimitError
 
-#: Ceiling on polynomial orders accepted by public entry points.
-#: Coefficient vectors grow like (3 + 2*sqrt(2))**n ~ 5.83**n, so the
-#: ceiling keeps misuse from turning into an accidental memory grab.
+#: Ceiling on polynomial orders accepted by public entry points.  At
+#: order M it bounds what the package builds and keeps: the exact stores
+#: of ``exactmoments`` (about 3 MiB at 256) and its float Gram store
+#: ((M+1)**2 doubles, about 516 KiB at 256); the integers of the exact
+#: oracle's sweep, over L = lcm(1..2M+1)**2 (1,486 bits at 256); the
+#: single-pair exact oracle, whose ``coeffs_exact`` vectors grow like
+#: (3 + 2*sqrt(2))**n ~ 5.83**n; and ``oracles.MAX_QUAD_DEGREE``, M + 1.
 #: Only the closed forms (``entry``, ``entry_diag``, ``entry_offdiag``,
 #: ``gram_exact``, ``gram_float``) take a per-call ``max_order``.
 MAX_ORDER = 256

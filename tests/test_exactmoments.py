@@ -1,6 +1,5 @@
 import math
 import random
-import struct
 import sys
 import threading
 import tracemalloc
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from loglegram import exactmoments
+from loglegram.analysis import diag_scaling_table
 from loglegram.errors import OrderLimitError
 from loglegram.exactmoments import (
     entry,
@@ -125,21 +125,14 @@ def test_gram_float_is_correctly_rounded():
             assert gram.entries[n][m] == float(entry(n, m))
 
 
-def _bits(rows):
-    return [[struct.pack("<d", v) for v in row] for row in rows]
-
-
 @pytest.mark.parametrize("size", [*range(65), 255, 256, 362, 1024])
-def test_gram_float_is_bit_identical_to_rounded_exact_gram(size):
-    # the reference rounds every cell of the exact Gram with float(Fraction)
-    exact = gram_exact(size, max_order=size)
-    reference = [[float(v) for v in row] for row in exact.entries]
+def test_gram_float_is_bit_identical_to_rounded_exact_gram(size, float_reference):
     gram = gram_float(size, max_order=size)
     assert (gram.order, gram.mode) == (size, "float")
     assert isinstance(gram.entries, np.ndarray) and gram.entries.dtype == np.float64
     assert gram.entries.shape == (size + 1, size + 1)
     assert gram.entries.flags.writeable
-    assert _bits(gram.entries) == _bits(reference)
+    assert _same_bits(gram.entries, float_reference[: size + 1, : size + 1])
 
 
 def test_builders_are_exactly_symmetric():
@@ -217,6 +210,23 @@ def test_series_limit_confirmed_by_large_partial_sum():
     assert abs((-1.0 - 2.0 * tail) + 2 * math.log(2)) < 1e-12
 
 
+def test_harmonic_and_partial_fraction_forms_hold_exactly():
+    # (2n+1) N[n, n] = -2 (H_2n - H_n) - 1/(2n+1) and, for n != m,
+    # (2n+1) N[n, m] = -(-1)**(n+m) (1/|n-m| + sgn(n-m)/(n+m+1))
+    harmonic = [Fraction(0)]
+    for k in range(1, 2 * MAX_ORDER + 1):
+        harmonic.append(harmonic[-1] + Fraction(1, k))
+    for n in range(MAX_ORDER + 1):
+        expected = -2 * (harmonic[2 * n] - harmonic[n]) - Fraction(1, 2 * n + 1)
+        assert (2 * n + 1) * entry_diag(n) == expected, n
+    for n in range(65):
+        for m in range(65):
+            if n != m:
+                sign = 1 if n > m else -1
+                expected = -(-1) ** (n + m) * (Fraction(1, abs(n - m)) + Fraction(sign, n + m + 1))
+                assert (2 * n + 1) * entry(n, m) == expected, (n, m)
+
+
 def _fresh_sums(n_max):
     running, out = Fraction(-1), [Fraction(-1)]
     for j in range(1, n_max + 1):
@@ -237,10 +247,10 @@ def reference():
 @pytest.fixture
 def empty_store(monkeypatch):
     # the module's stores as a fresh process starts with them
-    monkeypatch.setattr(exactmoments, "_rows", [])
-    monkeypatch.setattr(exactmoments, "_diagonal", [Fraction(-1)])
-    monkeypatch.setattr(exactmoments, "_float_diagonal", np.empty(0))
-    monkeypatch.setattr(exactmoments, "_float_gram", np.empty((0, 0)))
+    monkeypatch.setattr(exactmoments._rows, "table", [])
+    monkeypatch.setattr(exactmoments._diagonal, "table", [Fraction(-1)])
+    monkeypatch.setattr(exactmoments._float_diagonal, "table", np.empty(0))
+    monkeypatch.setattr(exactmoments._float_gram, "table", np.empty((0, 0)))
 
 
 @pytest.fixture(scope="module")
@@ -285,7 +295,7 @@ def test_mutating_a_gram_leaves_later_grams_unchanged(reference, empty_store):
 
 def test_gram_past_max_order_is_not_retained(reference):
     gram_exact(MAX_ORDER)  # the table at its cap
-    stored = exactmoments._rows
+    stored = exactmoments._rows.table
     tracemalloc.start()
     try:
         gram_exact(300, max_order=300)
@@ -303,8 +313,8 @@ def test_gram_past_max_order_is_not_retained(reference):
     diagonal = [gram.entries[n][n] for n in range(301)]
     assert diagonal == [s / (2 * n + 1) for n, s in enumerate(fresh)]
     assert all(gram.entries[n][m] == gram.entries[m][n] for n in range(301) for m in range(n))
-    assert exactmoments._rows is stored and len(stored) == MAX_ORDER + 1
-    assert len(exactmoments._diagonal) == MAX_ORDER + 1
+    assert exactmoments._rows.table is stored and len(stored) == MAX_ORDER + 1
+    assert len(exactmoments._diagonal.table) == MAX_ORDER + 1
 
 
 def _in_four_threads(build):
@@ -340,6 +350,19 @@ def test_concurrent_builds_see_whole_tables(reference, empty_store):
         assert entries == _block(reference, size), size
 
 
+def test_concurrent_diagonal_reads_see_whole_sums(empty_store):
+    # the exact diagonal store grown by its own readers, not inside a Gram build
+    fresh = _fresh_sums(MAX_ORDER)
+
+    def build(i, k):
+        size = (37 * i + 53 * k) % (MAX_ORDER + 1)
+        return size, (entry_diag(size), diag_scaling_table(size))
+
+    for size, (diagonal, table) in _in_four_threads(build):
+        assert diagonal == fresh[size] / (2 * size + 1), size
+        assert table == [(n, float(s)) for n, s in enumerate(fresh[: size + 1])], size
+
+
 def test_concurrent_float_builds_see_whole_diagonals(float_reference, empty_store):
     def build(i, k):
         size = (149 * i + 211 * k) % 1025
@@ -362,7 +385,7 @@ def test_float_diagonal_store_is_read_only_and_not_shared(empty_store):
     rounded = np.array([[float(entry(n, m)) for m in range(41)] for n in range(41)])
     for size in (20, 5, 40):
         gram = gram_float(size)
-        for store in (exactmoments._float_diagonal, exactmoments._float_gram):
+        for store in (exactmoments._float_diagonal.table, exactmoments._float_gram.table):
             assert not store.flags.writeable
             assert not np.shares_memory(gram.entries, store)
             with pytest.raises(ValueError):
@@ -380,7 +403,7 @@ def test_float_diagonal_store_is_read_only_and_not_shared(empty_store):
 def test_float_diagonal_past_max_order_retains_only_its_floats(empty_store):
     gram_exact(MAX_ORDER)  # the exact stores at their cap
     gram_float(MAX_ORDER)  # and the float Gram store
-    stored = exactmoments._float_gram
+    stored = exactmoments._float_gram.table
     tracemalloc.start()
     try:
         gram_float(1024, max_order=1024)
@@ -388,9 +411,9 @@ def test_float_diagonal_past_max_order_retains_only_its_floats(empty_store):
     finally:
         tracemalloc.stop()
     assert retained < 16 * 2**10  # 1025 doubles: about 8 KiB
-    assert len(exactmoments._float_diagonal) == 1025
-    assert len(exactmoments._rows) == len(exactmoments._diagonal) == MAX_ORDER + 1
-    assert exactmoments._float_gram is stored and len(stored) == MAX_ORDER + 1
+    assert len(exactmoments._float_diagonal.table) == 1025
+    assert len(exactmoments._rows.table) == len(exactmoments._diagonal.table) == MAX_ORDER + 1
+    assert exactmoments._float_gram.table is stored and len(stored) == MAX_ORDER + 1
 
 
 def test_float_gram_store_at_its_cap_retains_about_516_kib(empty_store):
@@ -404,5 +427,5 @@ def test_float_gram_store_at_its_cap_retains_about_516_kib(empty_store):
         tracemalloc.stop()
     # each growth replaces the store: 257**2 doubles are 528,392 bytes, the
     # float diagonal store adds 257 more, and no older store is kept
-    assert exactmoments._float_gram.shape == (MAX_ORDER + 1, MAX_ORDER + 1)
+    assert exactmoments._float_gram.table.shape == (MAX_ORDER + 1, MAX_ORDER + 1)
     assert 8 * (MAX_ORDER + 1) ** 2 <= retained < 528 * 2**10
