@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import OrderLimitError
-from .exactmoments import GramMatrix, _offdiag, scaled_diagonal
+from .exactmoments import GramMatrix, scaled_diagonal
 from .legendre import check_order
 
 #: Ceiling on expansion orders, which bounds the coefficient list that
@@ -97,11 +97,14 @@ def log_expansion_coeffs(order: int) -> list:
 
     c_n = (2n+1) N[n, 0] since the basis norm is
     integral of P_n(2x-1)**2 = 1/(2n+1); explicitly c_0 = -1 and
-    c_n = (2n+1) (-1)**(n+1) / (n (n+1)) for n >= 1.  ``order`` is capped
-    at MAX_EXPANSION_ORDER.
+    c_n = (2n+1) (-1)**(n+1) / (n (n+1)) for n >= 1, already reduced, as
+    2n+1 is prime to both n and n+1.  ``order`` is capped at
+    MAX_EXPANSION_ORDER.
     """
     order = check_order(order, MAX_EXPANSION_ORDER, name="order")
-    return [Fraction(-1)] + [(2 * n + 1) * _offdiag(n, 0) for n in range(1, order + 1)]
+    return [Fraction(-1)] + [
+        Fraction(2 * n + 1 if n % 2 else -2 * n - 1, n * (n + 1)) for n in range(1, order + 1)
+    ]
 
 
 def expansion_l2_error(order: int) -> ExpansionReport:

@@ -5,7 +5,8 @@ The target quantities are
     N[n, m] = integral over [0, 1] of P_n(2x-1) P_m(2x-1) log(x) dx.
 
 Off the diagonal the value is (-1)**(n+m+1) / (|n-m| (n+m+1)); on the
-diagonal, (2n+1) N[n, n] = -1 - 2 * sum_{j=1..n} 1/((2j-1) 2j (2j+1)).
+diagonal, (2n+1) N[n, n] = -1 - 2 * sum_{j=1..n} 1/((2j-1) 2j (2j+1)),
+which equals -2 (H_2n - H_n) - 1/(2n+1) with H_k = sum_{j<=k} 1/j.
 Both are evaluated in exact rational arithmetic; the floating variants
 are correctly rounded from the exact values.  An off-diagonal entry is
 +-1 over an integer below 2**53, and IEEE division of two exactly
@@ -28,13 +29,12 @@ store's cap is built from its current table and not kept.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .legendre import MAX_ORDER, check_order
+from .legendre import MAX_ORDER, _Store, check_order
 
 __all__ = [
     "GramMatrix",
@@ -94,9 +94,10 @@ def scaled_diagonal(n_max: int):
     The n-th value is -1 - 2 * sum_{j=1..n} 1/((2j-1) 2j (2j+1)), so
     each step costs one summand, subtracted doubled as 1/((2j-1) j (2j+1)).
     Values up to ``MAX_ORDER`` come from the module's store; past it the
-    sum continues, unstored, from the last stored value.  ``entry_diag``,
-    ``gram_exact``, ``gram_float`` and ``analysis.diag_scaling_table`` all
-    read their diagonals from here.  The order is not validated here.
+    sum continues, unstored, from the last stored value.  ``gram_exact``,
+    ``gram_float`` and ``analysis.diag_scaling_table`` read their diagonals
+    from here, and ``entry_diag`` up to ``MAX_ORDER``.  The order is not
+    validated here.
     """
     stored = _diagonal.covering(min(n_max, MAX_ORDER))
     yield from stored[: n_max + 1]
@@ -108,29 +109,6 @@ def _continued(running: Fraction, first: int, n_max: int):
     for j in range(first, n_max + 1):
         running -= Fraction(1, (2 * j - 1) * j * (2 * j + 1))
         yield running
-
-
-_lock = threading.RLock()  # growing one store may grow another inside it
-
-
-class _Store:
-    """A table that only grows, each growth published whole under ``_lock``.
-
-    ``grow(table, size)`` returns a new table longer than ``size`` and
-    leaves ``table`` unchanged, so no reader sees a half-grown one.
-    """
-
-    def __init__(self, table, grow):
-        self.table = table
-        self.grow = grow
-
-    def covering(self, size: int):
-        """The table, first grown if its length does not exceed ``size``."""
-        if len(self.table) <= size:
-            with _lock:
-                if len(self.table) <= size:
-                    self.table = self.grow(self.table, size)
-        return self.table
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -203,11 +181,39 @@ _float_gram = _Store(np.empty((0, 0)), lambda old, size: _read_only(_float_value
 
 
 def entry_diag(n: int, *, max_order=None) -> Fraction:
-    """N[n, n] from the closed sum, as a reduced fraction."""
+    """N[n, n] from the closed sum, as a reduced fraction.
+
+    Up to ``MAX_ORDER`` it is read from the module's diagonal store; a
+    larger n allowed by ``max_order=`` is summed by ``_split_diagonal``,
+    which needs no value below it.
+    """
     n = check_order(n, max_order, name="n")
-    for scaled in scaled_diagonal(n):
-        pass
-    return scaled / (2 * n + 1)
+    if n <= MAX_ORDER:
+        return _diagonal.covering(n)[n] / (2 * n + 1)
+    return _split_diagonal(n)
+
+
+def _split_diagonal(n: int) -> Fraction:
+    """N[n, n] from (2n+1) N[n, n] = -2 (H_2n - H_n) - 1/(2n+1).
+
+    H_2n - H_n, the sum of 1/k over n < k <= 2n, is summed as one
+    unreduced p/q by binary splitting (Haible and Papanikolaou, ANTS 1998),
+    so the one gcd is the final reduction of
+    N[n, n] = -(2p (2n+1) + q) / (q (2n+1)**2).
+    """
+    p, q = _reciprocal_sum(n + 1, 2 * n + 1)
+    odd = 2 * n + 1
+    return Fraction(-(2 * p * odd + q), q * odd * odd)
+
+
+def _reciprocal_sum(a: int, b: int) -> tuple:
+    """(p, q) with p/q the sum of 1/k over a <= k < b, 0 < a <= b, unreduced."""
+    if b - a < 2:  # an empty or one-term range
+        return b - a, a
+    mid = (a + b) // 2
+    p1, q1 = _reciprocal_sum(a, mid)
+    p2, q2 = _reciprocal_sum(mid, b)
+    return p1 * q2 + p2 * q1, q1 * q2
 
 
 def entry(n: int, m: int, *, max_order=None) -> Fraction:

@@ -27,7 +27,9 @@ Two oracles, sharing no formula with :mod:`loglegram.exactmoments`:
 ``verify_range`` compares the closed-form Gram from ``exactmoments``
 against either oracle on all pairs at once and reports per-pair results
 as arrays: the exact oracle's sums for every pair come from the integer
-recurrence in O(max_order**2) steps, the quadrature for every pair from
+recurrence over the upper triangle, about max_order**2 steps, started
+from the modified moments of -log(x), which the module builds once per
+process up to order 2 * MAX_ORDER; the quadrature for every pair from
 symmetric products of the weighted recurrence table with itself, summed
 over node chunks so that the table stays bounded in memory at any order.
 """
@@ -35,7 +37,6 @@ over node chunks so that the table stays bounded in memory at any order.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import OrderLimitError
-from .legendre import MAX_ORDER, check_order, coeffs_exact, recurrence_sweep
+from .legendre import MAX_ORDER, _Store, check_order, coeffs_exact, recurrence_sweep
 
 __all__ = [
     "MAX_QUAD_DEGREE",
@@ -83,12 +84,9 @@ def exact_entry_oracle(n: int, m: int) -> Fraction:
     """
     n = check_order(n, name="n")
     m = check_order(m, name="m")
-    a = coeffs_exact(n).coeffs
-    b = coeffs_exact(m).coeffs
-    conv = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            conv[i + j] += ai * bj
+    # object arrays: numpy's loop, Python's exact integer products
+    a, b = (np.array(coeffs_exact(k).coeffs, dtype=object) for k in (n, m))
+    conv = np.convolve(a, b).tolist()
     big = math.lcm(*range(1, n + m + 2)) ** 2
     return Fraction(-sum(c * (big // (k + 1) ** 2) for k, c in enumerate(conv)), big)
 
@@ -207,33 +205,62 @@ def _quad_gram(n_max: int, rule: QuadratureRule | None) -> np.ndarray:
     return np.negative(products, out=products)
 
 
+def _modified_moments(top: int) -> list:
+    """nu_k = mu(P_k) for k = 0..top, as reduced fractions, mu(x**l) = 1/(l+1)**2.
+
+    nu_k is the integral of P_k(2x-1) (-log x) over [0, 1].  It comes from
+    the moments of x**l alone, by the mixed-moment step of Gautschi's
+    modified Chebyshev algorithm: (k+1) P_{k+1} = (2k+1) (2x-1) P_k - k P_{k-1}
+    applied under mu over the triangle mu(P_k x**l), l <= top - k, two rows
+    at a time, with (2x-1) x**l = 2 x**(l+1) - x**l.  The triangle is taken
+    over big = lcm(1..top+1)**2, where every entry is an integer and every
+    division exact; only its column 0 is kept.
+    """
+    big = math.lcm(*range(1, top + 2)) ** 2
+    row = [big // (l + 1) ** 2 for l in range(top + 1)]
+    prev = [0] * len(row)  # P_{-1} = 0
+    column = []
+    for k in range(top + 1):
+        column.append(Fraction(row[0], big))
+        prev, row = row, [
+            ((2 * k + 1) * (2 * b - a) - k * p) // (k + 1) for a, b, p in zip(row, row[1:], prev)
+        ]
+    return column
+
+
+# Rebuilt whole at each larger order: the triangle keeps no state to extend.
+_moments = _Store([], lambda old, top: _modified_moments(top))
+
+
 def _exact_sums(n_max: int):
     """Return (sums, big), N[n, m] = -sums[i] / big for the i-th pair of np.tril_indices(n_max + 1).
 
-    sums[i] = mu(P_n P_m) for mu(x**k) = big // (k+1)**2, big =
-    lcm(1..2*n_max+1)**2.  ``rows`` applies
-    (k+1) P_{k+1} = (2k+1) (2x-1) P_k - k P_{k-1} under mu, two rows at a
-    time (the mixed moments of Gautschi's modified Chebyshev algorithm):
-    over mu(P_k x**l), whose column 0 is row 0, then over the rows.
-    ``times`` moves 2x-1 onto the columns: x**l -> 2 x**(l+1) - x**l and
-    P_m -> ((m+1) P_{m+1} + m P_{m-1}) / (2m+1).  Each row is one column
-    shorter: the next would need degree 2*n_max + 1.  Each quotient is mu
-    of an integer polynomial, so every division is exact.
+    sums[i] = S[n, m] = mu(P_n P_m) for mu(x**l) = big // (l+1)**2, big =
+    lcm(1..2*n_max+1)**2, n_max <= MAX_ORDER.  Row 0, S[0, j] = big * nu_j
+    for j <= 2*n_max, is the modified moments of ``_modified_moments``,
+    which the module keeps for the process and grows only for a larger
+    order; big * nu_j is an integer, since the denominator of nu_j divides
+    lcm(1..j+1)**2.  The rows follow from
+    (k+1) P_{k+1} = (2k+1) (2x-1) P_k - k P_{k-1} under mu, with 2x-1
+    moved onto the column: (2x-1) P_j = ((j+1) P_{j+1} + j P_{j-1}) / (2j+1).
+    As S is symmetric, row k runs over columns k..2*n_max-k only, all that
+    row k+1 needs of it; columns k..n_max are kept for the output, and two
+    whole rows for the recurrence.  Each quotient is mu of an integer
+    polynomial, so every division is exact.
     """
-    def rows(first, times):
-        prev, row = [0] * len(first), first
-        for k in itertools.count():
-            yield row
-            prev, row = row, [
-                ((2 * k + 1) * times(row, j) - k * prev[j]) // (k + 1) for j in range(len(row) - 1)
-            ]
-
     top = 2 * n_max
     big = math.lcm(*range(1, top + 2)) ** 2
-    moments = rows([big // (k + 1) ** 2 for k in range(top + 1)], lambda t, l: 2 * t[l + 1] - t[l])
-    first = [t[0] for _, t in zip(range(top + 1), moments)]
-    legendre = rows(first, lambda s, m: ((m + 1) * s[m + 1] + m * s[m - 1]) // (2 * m + 1))
-    return [s for n, row in zip(range(n_max + 1), legendre) for s in row[: n + 1]], big
+    row = [nu.numerator * (big // nu.denominator) for nu in _moments.covering(top)[: top + 1]]
+    prev = [0] * len(row)  # P_{-1} = 0
+    upper = []  # upper[k][i] = S[k, k+i] for i <= n_max - k
+    for k in range(n_max + 1):
+        upper.append(row[: n_max - k + 1])
+        # row[i] = S[k, k+i] and prev[i] = S[k-1, k-1+i]; the new row is S[k+1, j], j > k
+        prev, row = row, [
+            ((2 * k + 1) * (((j + 1) * b + j * a) // (2 * j + 1)) - k * p) // (k + 1)
+            for j, a, b, p in zip(range(k + 1, top - k), row, row[2:], prev[2:])
+        ]
+    return [upper[m][n - m] for n in range(n_max + 1) for m in range(n + 1)], big
 
 
 @dataclass(frozen=True)

@@ -55,9 +55,10 @@ def test_expansion_coefficients():
 
 
 def test_expansion_coefficient_closed_form():
-    coeffs = log_expansion_coeffs(32)
-    for n in range(1, 33):
+    coeffs = log_expansion_coeffs(512)
+    for n in range(1, 513):
         assert coeffs[n] == Fraction((2 * n + 1) * (-1) ** (n + 1), n * (n + 1))
+    assert coeffs == [(2 * n + 1) * entry(n, 0, max_order=512) for n in range(513)]
 
 
 def test_bilinear_unit_vectors_reproduce_entries():

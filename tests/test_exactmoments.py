@@ -1,7 +1,5 @@
 import math
 import random
-import sys
-import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -235,6 +233,15 @@ def _fresh_sums(n_max):
     return out
 
 
+def test_diagonal_by_binary_splitting_is_the_running_sum():
+    # entry_diag past MAX_ORDER sums H_2n - H_n by splitting, not from the store
+    fresh = _fresh_sums(3000)
+    for n in range(MAX_ORDER + 1):
+        assert exactmoments._split_diagonal(n) == fresh[n] / (2 * n + 1), n
+    for n in (257, 300, 511, 1024, 3000):
+        assert entry_diag(n, max_order=n) == fresh[n] / (2 * n + 1), n
+
+
 @pytest.fixture(scope="module")
 def reference():
     # per-cell closed forms, the diagonal pinned to a fresh summation
@@ -317,40 +324,16 @@ def test_gram_past_max_order_is_not_retained(reference):
     assert len(exactmoments._diagonal.table) == MAX_ORDER + 1
 
 
-def _in_four_threads(build):
-    """[(size, entries), ...] from build(i, k) for k < 8 in threads i < 4."""
-    start = threading.Barrier(4)
-    results = [[] for _ in range(4)]
-
-    def run(i):
-        start.wait()
-        results[i].extend(build(i, k) for k in range(8))
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert sum(len(r) for r in results) == 32
-    return [pair for r in results for pair in r]
-
-
-def test_concurrent_builds_see_whole_tables(reference, empty_store):
+def test_concurrent_builds_see_whole_tables(reference, empty_store, in_four_threads):
     def build(i, k):
         size = (37 * i + 53 * k) % (MAX_ORDER + 1)
         return size, gram_exact(size).entries
 
-    for size, entries in _in_four_threads(build):
+    for size, entries in in_four_threads(build):
         assert entries == _block(reference, size), size
 
 
-def test_concurrent_diagonal_reads_see_whole_sums(empty_store):
+def test_concurrent_diagonal_reads_see_whole_sums(empty_store, in_four_threads):
     # the exact diagonal store grown by its own readers, not inside a Gram build
     fresh = _fresh_sums(MAX_ORDER)
 
@@ -358,17 +341,17 @@ def test_concurrent_diagonal_reads_see_whole_sums(empty_store):
         size = (37 * i + 53 * k) % (MAX_ORDER + 1)
         return size, (entry_diag(size), diag_scaling_table(size))
 
-    for size, (diagonal, table) in _in_four_threads(build):
+    for size, (diagonal, table) in in_four_threads(build):
         assert diagonal == fresh[size] / (2 * size + 1), size
         assert table == [(n, float(s)) for n, s in enumerate(fresh[: size + 1])], size
 
 
-def test_concurrent_float_builds_see_whole_diagonals(float_reference, empty_store):
+def test_concurrent_float_builds_see_whole_diagonals(float_reference, empty_store, in_four_threads):
     def build(i, k):
         size = (149 * i + 211 * k) % 1025
         return size, gram_float(size, max_order=1024).entries
 
-    for size, entries in _in_four_threads(build):
+    for size, entries in in_four_threads(build):
         assert _same_bits(entries, float_reference[: size + 1, : size + 1]), size
 
 
