@@ -1,9 +1,10 @@
 """Downstream numerics built on the Gram matrix.
 
-Covers bilinear log-weighted forms a' N b, the L2-optimal shifted
-Legendre expansion of log(x) on [0, 1], and the diagonal scaling
+Covers bilinear log-weighted forms a' N b and the L2-optimal shifted
+Legendre expansion of log(x) on [0, 1].  The diagonal scaling
 diagnostics (2n+1) N[n, n], which decrease monotonically toward
--2 log 2.
+-2 log 2, are ``exactmoments.diag_scaling_table``, re-exported here: the
+module reads them from its float diagonal store.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import OrderLimitError
-from .exactmoments import GramMatrix, scaled_diagonal
+from .exactmoments import GramMatrix, diag_scaling_table
 from .legendre import check_order
 
 #: Ceiling on expansion orders, which bounds the coefficient list that
@@ -122,14 +123,3 @@ def expansion_l2_error(order: int) -> ExpansionReport:
         coefficients=log_expansion_coeffs(order),
         l2_error=1 / (order + 1),
     )
-
-
-def diag_scaling_table(max_order: int) -> list:
-    """Pairs (n, (2n+1) N[n, n]) as floats, for n = 0..max_order.
-
-    The scaled diagonal is the running partial sum
-    -1 - 2 sum_{j<=n} 1/((2j-1) 2j (2j+1)): strictly decreasing and
-    bounded below by its limit -2 log 2.
-    """
-    max_order = check_order(max_order, name="max_order")
-    return [(n, float(scaled)) for n, scaled in enumerate(scaled_diagonal(max_order))]

@@ -14,16 +14,17 @@ representable integers is correctly rounded, so the float Gram divides
 in numpy and needs rational arithmetic only for its diagonal.
 
 No closed form depends on the matrix size, so the Gram of order k is the
-leading block of every larger one.  The module keeps four stores, each a
-table that only grows, so that every value in it is built once per
-process: the scaled diagonal (2n+1) N[n, n] and the rows of N, both up
-to ``MAX_ORDER`` (about 3 MiB when full), and two read-only float64
-arrays, float(N[n, m]) up to ``MAX_ORDER`` (257**2 doubles, about
-516 KiB) and float(N[n, n]) with no cap (8 bytes per n).  A store that
-does not cover a request is grown under one lock: a new table is built
-from the old one, only the new values computed, and published by one
-assignment, so no caller sees a half-grown table.  A request past a
-store's cap is built from its current table and not kept.
+leading block of every larger one.  The module keeps three stores, each
+a table that only grows, so that every value in it is built once per
+process: the rows of N up to ``MAX_ORDER`` (about 3 MiB when full), and
+two read-only float64 arrays, float(N[n, m]) up to ``MAX_ORDER`` (257**2
+doubles, about 516 KiB) and, with no cap, float(N[n, n]) beside
+float((2n+1) N[n, n]) (16 bytes per n).  Exact diagonal values are kept
+only as cells of the rows.  A store that does not cover a request is
+grown under one lock: a new table is built from the old one, only the
+new values computed, and published by one assignment, so no caller sees
+a half-grown table.  A request past a store's cap is built from its
+current table and not kept.
 """
 
 from __future__ import annotations
@@ -93,20 +94,14 @@ def scaled_diagonal(n_max: int):
 
     The n-th value is -1 - 2 * sum_{j=1..n} 1/((2j-1) 2j (2j+1)), so
     each step costs one summand, subtracted doubled as 1/((2j-1) j (2j+1)).
-    Values up to ``MAX_ORDER`` come from the module's store; past it the
-    sum continues, unstored, from the last stored value.  ``gram_exact``,
-    ``gram_float`` and ``analysis.diag_scaling_table`` read their diagonals
-    from here, and ``entry_diag`` up to ``MAX_ORDER``.  The order is not
-    validated here.
+    No sum is stored: the exact row store and the float diagonal store
+    read it when they grow, and ``gram_exact`` past the rows' cap, each
+    time from n = 0.  The order is not validated here.
     """
-    stored = _diagonal.covering(min(n_max, MAX_ORDER))
-    yield from stored[: n_max + 1]
-    yield from _continued(stored[-1], len(stored), n_max)
-
-
-def _continued(running: Fraction, first: int, n_max: int):
-    """Yield the scaled diagonal for n = first..n_max from the value at first - 1."""
-    for j in range(first, n_max + 1):
+    running = Fraction(-1)
+    if n_max >= 0:
+        yield running
+    for j in range(1, n_max + 1):
         running -= Fraction(1, (2 * j - 1) * j * (2 * j + 1))
         yield running
 
@@ -117,19 +112,33 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 
 
 def _rounded(diagonal: np.ndarray, size: int) -> np.ndarray:
-    """``diagonal`` extended to float(N[n, n]) for n = 0..size, read-only.
+    """``diagonal`` extended to n = 0..size, read-only.
 
-    Only the new values are rounded.  With s = (2n+1) N[n, n] each is the
-    one int division s.numerator / (s.denominator * (2n+1)): Python's int
-    true division is correctly rounded, and it is the division
+    Row n holds float(N[n, n]) and float(s), s = (2n+1) N[n, n]; only the
+    new rows are rounded, from one pass over the exact sums.  The first is
+    the one int division s.numerator / (s.denominator * (2n+1)): Python's
+    int true division is correctly rounded, and it is the division
     ``Fraction.__float__`` performs, so the bits are those of
-    float(Fraction) with no reduced ``Fraction`` formed.  Past
-    ``MAX_ORDER`` the exact sum is continued, unstored, so that tail is
-    summed again only when this store grows.
+    float(Fraction) with no reduced ``Fraction`` formed.
     """
-    tail = itertools.islice(scaled_diagonal(size), len(diagonal), None)
-    new = [s.numerator / (s.denominator * (2 * n + 1)) for n, s in enumerate(tail, len(diagonal))]
+    old = len(diagonal)
+    sums = list(itertools.islice(scaled_diagonal(size), old, None))
+    entries = [s.numerator / (s.denominator * (2 * n + 1)) for n, s in enumerate(sums, old)]
+    # two lists: a list of pairs would leave its tuples on the interpreter's free list
+    new = np.transpose([entries, [float(s) for s in sums]])
     return _read_only(np.concatenate([diagonal, new]))
+
+
+def diag_scaling_table(max_order: int) -> list:
+    """Pairs (n, (2n+1) N[n, n]) as floats, for n = 0..max_order.
+
+    The scaled diagonal is the running partial sum
+    -1 - 2 sum_{j<=n} 1/((2j-1) 2j (2j+1)): strictly decreasing and
+    bounded below by its limit -2 log 2.  The floats are read from the
+    float diagonal store, each correctly rounded from the exact sum.
+    """
+    max_order = check_order(max_order, name="max_order")
+    return list(enumerate(_float_diagonal.covering(max_order)[: max_order + 1, 1].tolist()))
 
 
 def _float_values(size: int) -> np.ndarray:
@@ -150,7 +159,7 @@ def _float_values(size: int) -> np.ndarray:
     with np.errstate(divide="ignore"):
         np.divide(-parity[:, None], values, out=values)
     values *= parity
-    np.fill_diagonal(values, _float_diagonal.covering(size)[: size + 1])
+    np.fill_diagonal(values, _float_diagonal.covering(size)[: size + 1, 0])
     return values
 
 
@@ -174,22 +183,18 @@ def _grown(rows: list, size: int) -> list:
 
 
 # Each is read through covering(); only _float_diagonal is asked past MAX_ORDER.
-_diagonal = _Store([Fraction(-1)], lambda old, n: old + list(_continued(old[-1], len(old), n)))
 _rows = _Store([], _grown)  # each row as long as the table
-_float_diagonal = _Store(np.empty(0), _rounded)
+_float_diagonal = _Store(np.empty((0, 2)), _rounded)
 _float_gram = _Store(np.empty((0, 0)), lambda old, size: _read_only(_float_values(size)))
 
 
 def entry_diag(n: int, *, max_order=None) -> Fraction:
     """N[n, n] from the closed sum, as a reduced fraction.
 
-    Up to ``MAX_ORDER`` it is read from the module's diagonal store; a
-    larger n allowed by ``max_order=`` is summed by ``_split_diagonal``,
-    which needs no value below it.
+    It is summed by ``_split_diagonal`` in the harmonic form, which needs
+    no other diagonal value, so no exact diagonal is kept for it.
     """
     n = check_order(n, max_order, name="n")
-    if n <= MAX_ORDER:
-        return _diagonal.covering(n)[n] / (2 * n + 1)
     return _split_diagonal(n)
 
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from .errors import OrderLimitError
 
 #: Ceiling on polynomial orders accepted by public entry points.  At
-#: order M it bounds what the package builds and keeps: the exact stores
-#: of ``exactmoments`` (about 3 MiB at 256) and its float Gram store
+#: order M it bounds what the package builds and keeps: the exact row
+#: store of ``exactmoments`` (about 3 MiB at 256) and its float Gram store
 #: ((M+1)**2 doubles, about 516 KiB at 256); the integers of the exact
 #: oracle's sweep, over L = lcm(1..2M+1)**2 (1,486 bits at 256); the
 #: exact oracle's store of modified moments, 2M + 1 reduced fractions; the
@@ -116,15 +116,11 @@ def recurrence_sweep(n_max, x):
     oracle's single pairs and its table both consume it, so their values
     agree bit for bit.  ``x`` may be a float, a Fraction or an ndarray;
     exact input gives exact values, and |P_n| <= 1 holds only on [0, 1].
-    The order is not validated here.
+    A negative ``n_max`` yields nothing.  The order is not validated here.
     """
     t = 2 * x - 1
-    p_prev = x * 0 + 1
-    yield p_prev
-    if n_max == 0:
-        return
-    p_cur = t
-    yield p_cur
+    p_prev, p_cur = x * 0 + 1, t
+    yield from (p_prev, p_cur)[: max(n_max + 1, 0)]
     for k in range(1, n_max):
         p_prev, p_cur = p_cur, ((2 * k + 1) * t * p_cur - k * p_prev) / (k + 1)
         yield p_cur

@@ -132,7 +132,8 @@ def _cached_rule(degree: int) -> QuadratureRule:
 
 
 def shifted_legendre_table(x: np.ndarray, n_max: int) -> np.ndarray:
-    """Vectorized recurrence table: row n holds P_n(2x-1) at every x."""
+    """Vectorized recurrence table: row n holds P_n(2x-1) at every x, n <= MAX_ORDER."""
+    n_max = check_order(n_max, name="n_max")
     x = np.asarray(x, dtype=np.float64)
     table = np.empty((n_max + 1, x.size))
     for row, values in zip(table, recurrence_sweep(n_max, x)):

@@ -18,7 +18,7 @@ from loglegram.exactmoments import (
     gram_float,
     scaled_diagonal,
 )
-from loglegram.legendre import MAX_ORDER
+from loglegram.legendre import MAX_ORDER, _Store
 
 # frozen values, each checked against the independent monomial oracle
 OFFDIAG_CASES = [
@@ -234,7 +234,7 @@ def _fresh_sums(n_max):
 
 
 def test_diagonal_by_binary_splitting_is_the_running_sum():
-    # entry_diag past MAX_ORDER sums H_2n - H_n by splitting, not from the store
+    # entry_diag sums H_2n - H_n by splitting at every order, from no store
     fresh = _fresh_sums(3000)
     for n in range(MAX_ORDER + 1):
         assert exactmoments._split_diagonal(n) == fresh[n] / (2 * n + 1), n
@@ -255,8 +255,7 @@ def reference():
 def empty_store(monkeypatch):
     # the module's stores as a fresh process starts with them
     monkeypatch.setattr(exactmoments._rows, "table", [])
-    monkeypatch.setattr(exactmoments._diagonal, "table", [Fraction(-1)])
-    monkeypatch.setattr(exactmoments._float_diagonal, "table", np.empty(0))
+    monkeypatch.setattr(exactmoments._float_diagonal, "table", np.empty((0, 2)))
     monkeypatch.setattr(exactmoments._float_gram, "table", np.empty((0, 0)))
 
 
@@ -321,7 +320,6 @@ def test_gram_past_max_order_is_not_retained(reference):
     assert diagonal == [s / (2 * n + 1) for n, s in enumerate(fresh)]
     assert all(gram.entries[n][m] == gram.entries[m][n] for n in range(301) for m in range(n))
     assert exactmoments._rows.table is stored and len(stored) == MAX_ORDER + 1
-    assert len(exactmoments._diagonal.table) == MAX_ORDER + 1
 
 
 def test_concurrent_builds_see_whole_tables(reference, empty_store, in_four_threads):
@@ -334,7 +332,7 @@ def test_concurrent_builds_see_whole_tables(reference, empty_store, in_four_thre
 
 
 def test_concurrent_diagonal_reads_see_whole_sums(empty_store, in_four_threads):
-    # the exact diagonal store grown by its own readers, not inside a Gram build
+    # the float diagonal store grown by diag_scaling_table, not inside a Gram build
     fresh = _fresh_sums(MAX_ORDER)
 
     def build(i, k):
@@ -384,7 +382,7 @@ def test_float_diagonal_store_is_read_only_and_not_shared(empty_store):
 
 
 def test_float_diagonal_past_max_order_retains_only_its_floats(empty_store):
-    gram_exact(MAX_ORDER)  # the exact stores at their cap
+    gram_exact(MAX_ORDER)  # the exact rows at their cap
     gram_float(MAX_ORDER)  # and the float Gram store
     stored = exactmoments._float_gram.table
     tracemalloc.start()
@@ -393,14 +391,14 @@ def test_float_diagonal_past_max_order_retains_only_its_floats(empty_store):
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert retained < 16 * 2**10  # 1025 doubles: about 8 KiB
-    assert len(exactmoments._float_diagonal.table) == 1025
-    assert len(exactmoments._rows.table) == len(exactmoments._diagonal.table) == MAX_ORDER + 1
+    # 1025 rows of two doubles, 16,400 bytes, and 8 KiB of slack
+    assert retained < exactmoments._float_diagonal.table.nbytes + 8 * 2**10
+    assert exactmoments._float_diagonal.table.shape == (1025, 2)
+    assert len(exactmoments._rows.table) == MAX_ORDER + 1
     assert exactmoments._float_gram.table is stored and len(stored) == MAX_ORDER + 1
 
 
 def test_float_gram_store_at_its_cap_retains_about_516_kib(empty_store):
-    entry_diag(MAX_ORDER)  # the exact diagonal, a store of its own
     tracemalloc.start()
     try:
         for size in (10, 3, 100, MAX_ORDER, 40):
@@ -409,6 +407,30 @@ def test_float_gram_store_at_its_cap_retains_about_516_kib(empty_store):
     finally:
         tracemalloc.stop()
     # each growth replaces the store: 257**2 doubles are 528,392 bytes, the
-    # float diagonal store adds 257 more, and no older store is kept
+    # float diagonal store adds 257 rows of two, and no older store is kept
     assert exactmoments._float_gram.table.shape == (MAX_ORDER + 1, MAX_ORDER + 1)
     assert 8 * (MAX_ORDER + 1) ** 2 <= retained < 528 * 2**10
+
+
+@pytest.mark.parametrize("first", [None, 1024])
+def test_diag_scaling_table_is_the_rounded_running_sum(first, empty_store):
+    # from an empty store grown by the table itself, and from a float
+    # diagonal grown past MAX_ORDER by a Gram; the values are finite and
+    # nonzero, so == compares the bits
+    if first is not None:
+        gram_float(first, max_order=first)
+    fresh = [float(s) for s in _fresh_sums(MAX_ORDER)]
+    for k in range(MAX_ORDER + 1):
+        table = diag_scaling_table(k)
+        assert table == list(enumerate(fresh[: k + 1])), k
+        assert all(type(n) is int and type(s) is float for n, s in table)
+
+
+def test_empty_store_resets_every_store(request):
+    # a store added to the module must be grown here and reset by the fixture
+    gram_exact(2)
+    gram_float(2)
+    stores = [value for value in vars(exactmoments).values() if isinstance(value, _Store)]
+    assert len(stores) == 3 and all(len(store.table) for store in stores)
+    request.getfixturevalue("empty_store")
+    assert all(len(store.table) == 0 for store in stores)

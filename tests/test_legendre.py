@@ -15,7 +15,7 @@ import loglegram as lg
 from loglegram import cli, legendre
 from loglegram.errors import OrderLimitError
 from loglegram.legendre import MonomialPoly, coeffs_exact, recurrence_sweep
-from loglegram.oracles import gauss_legendre_rule
+from loglegram.oracles import gauss_legendre_rule, shifted_legendre_table
 
 
 def _last(n, x):
@@ -48,6 +48,15 @@ def test_eval_batch_endpoint_values():
     assert list(recurrence_sweep(2, 1)) == [1, 1, 1]
     assert list(recurrence_sweep(2, 0)) == [1, -1, 1]
     assert list(recurrence_sweep(2, 0.5)) == [1, 0.0, -0.5]
+
+
+@pytest.mark.parametrize("x", [0.25, Fraction(1, 4), np.array([0.0, 0.25, 1.0])])
+def test_sweep_yields_one_value_per_order(x):
+    # P_0..P_n_max, and nothing at all below order 0
+    for n_max in (-3, -2, -1):
+        assert list(recurrence_sweep(n_max, x)) == []
+    for n_max in (0, 1, 2, 5):
+        assert len(list(recurrence_sweep(n_max, x))) == n_max + 1
 
 
 def test_eval_batch_bitwise_matches_single_eval():
@@ -197,6 +206,9 @@ _CLI_BAD = (True, 2.0, "3e0")
             id="check_order-minimum-1",
         ),
         pytest.param(gauss_legendre_rule, 1, _PY_BAD, id="gauss_legendre_rule"),
+        pytest.param(
+            lambda v: shifted_legendre_table([0.5], v), 0, _PY_BAD, id="shifted_legendre_table"
+        ),
         pytest.param(_via_cli("entry", None, "0"), 0, _CLI_BAD, id="cli-entry-order"),
         pytest.param(_via_cli("gram", None), 0, _CLI_BAD, id="cli-gram-size"),
         pytest.param(
@@ -227,6 +239,9 @@ _INTEGER_CALLS = [
     pytest.param(lg.exact_entry_oracle, (5, 3), id="exact_entry_oracle"),
     pytest.param(lg.quad_entry_oracle, (5, 3), id="quad_entry_oracle"),
     pytest.param(lg.gauss_legendre_rule, (4,), id="gauss_legendre_rule"),
+    pytest.param(
+        lambda n: shifted_legendre_table(np.linspace(0, 1, 5), n), (6,), id="shifted_legendre_table"
+    ),
     pytest.param(lg.verify_range, (6,), id="verify_range-exact"),
     pytest.param(lambda n: lg.verify_range(n, "quad"), (6,), id="verify_range-quad"),
     pytest.param(lg.log_expansion_coeffs, (5,), id="log_expansion_coeffs"),

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from loglegram import exactmoments, oracles
 from loglegram.errors import OrderLimitError
-from loglegram.legendre import MAX_ORDER, coeffs_exact, recurrence_sweep
+from loglegram.legendre import MAX_ORDER, _Store, coeffs_exact, recurrence_sweep
 from loglegram.oracles import (
     exact_entry_oracle,
     gauss_legendre_rule,
@@ -147,6 +147,20 @@ def test_table_matches_scalar_evaluation():
     table = shifted_legendre_table(x, 24)
     for j, xj in enumerate(x):
         assert table[:, j].tolist() == list(recurrence_sweep(24, float(xj)))
+
+
+def test_table_refuses_orders_past_max_order_before_allocating():
+    x = np.linspace(0.0, 1.0, 4)
+    assert shifted_legendre_table(x, MAX_ORDER).shape == (MAX_ORDER + 1, 4)
+    for n_max in (MAX_ORDER + 1, 10**6):
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderLimitError, match=f"n_max {n_max} exceeds"):
+                shifted_legendre_table(x, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16, n_max
 
 
 def test_quad_oracle_point_values():
@@ -490,6 +504,15 @@ def test_concurrent_sweeps_see_whole_moment_tables(cold_sums, empty_moments, in_
     for n, sums in results:
         assert sums == cold_sums[n], n
     assert len(oracles._moments.table) == 2 * max(n for n, _ in results) + 1
+
+
+def test_empty_moments_resets_every_store(request):
+    # a store added to the module must be grown here and reset by the fixture
+    verify_range(2, "exact")
+    stores = [value for value in vars(oracles).values() if isinstance(value, _Store)]
+    assert len(stores) == 1 and all(len(store.table) for store in stores)
+    request.getfixturevalue("empty_moments")
+    assert all(len(store.table) == 0 for store in stores)
 
 
 def test_moment_store_stays_within_its_cap(empty_moments):
