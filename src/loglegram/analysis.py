@@ -59,6 +59,7 @@ def bilinear_log_form(a, b, gram: GramMatrix):
     4,254 q's and takes about 6 ms).  Any other input makes it a float,
     summed by BLAS as a' (N b) over nonzero a_n from only the cells it
     reads: its last bits may move, within (len(a)+len(b)) eps sum |a_n b_m N_nm|.
+    A coefficient beyond the double range is refused there with ValueError.
     """
     a = list(a)
     b = list(b)
@@ -85,12 +86,15 @@ def bilinear_log_form(a, b, gram: GramMatrix):
         return Fraction(sum(s * (common // q) for q, s in sums.items()), common * da * db)
     rows = gram.entries[: len(a)]  # an exact Gram is rounded only where the form reads it
     block = rows[:, : len(b)] if isinstance(rows, np.ndarray) else [r[: len(b)] for r in rows]
-    x = np.array(a, dtype=float)
-    # b's zeros add exact zeros to the row sums N b (|N| <= 1); a's zeros are
-    # skipped, since a row sum may overflow and 0 * inf would be nan
-    with np.errstate(all="ignore"):
-        row_sums = np.asarray(block, dtype=float) @ np.array(b, dtype=float)
-        return 0.0 + float(x[x != 0] @ row_sums[x != 0])  # +0.0 for a zero form
+    try:
+        x = np.array(a, dtype=float)
+        # b's zeros add exact zeros to the row sums N b (|N| <= 1); a's zeros are
+        # skipped, since a row sum may overflow and 0 * inf would be nan
+        with np.errstate(all="ignore"):
+            row_sums = np.asarray(block, dtype=float) @ np.array(b, dtype=float)
+            return 0.0 + float(x[x != 0] @ row_sums[x != 0])  # +0.0 for a zero form
+    except OverflowError:  # an int or Fraction past the largest double
+        raise ValueError("a coefficient is beyond the double range in a float form") from None
 
 
 def log_expansion_coeffs(order: int) -> list:

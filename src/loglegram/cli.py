@@ -5,6 +5,10 @@ stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage or input
 error, 2 verification failure, 3 numerical failure (a non-finite value
 reaching a serializer, in any format).
 
+Integer arguments are parsed with ``int`` only; the ``check_order`` call
+that starts the library function a command reaches range-checks each one,
+before any work or file write.
+
 Each subcommand returns its whole stdout text and exit code; ``main``
 alone writes that text, once and after everything else has succeeded, so
 a failure leaves stdout empty.  A reader that closes the pipe early does
@@ -25,7 +29,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import analysis, exactmoments, oracles
-from .legendre import check_order
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -228,22 +231,6 @@ def _cmd_bilinear(args) -> tuple[str, int]:
     return _format_value(value) + "\n", EXIT_OK
 
 
-def _int_arg(minimum: int):
-    """argparse type: an integer of at least ``minimum``, via check_order."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        try:
-            return check_order(value, math.inf, name="value", minimum=minimum)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return parse
-
-
 def _add_common(parser, *, max_order_cap=True) -> None:
     parser.add_argument(
         "--format",
@@ -255,7 +242,7 @@ def _add_common(parser, *, max_order_cap=True) -> None:
         return
     parser.add_argument(
         "--max-order-cap",
-        type=_int_arg(0),
+        type=int,
         default=None,
         metavar="N",
         help="override the default order ceiling",
@@ -273,25 +260,25 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("entry", help="print a single matrix entry N[n,m]")
-    p.add_argument("n", type=_int_arg(0))
-    p.add_argument("m", type=_int_arg(0))
+    p.add_argument("n", type=int)
+    p.add_argument("m", type=int)
     p.add_argument("--exact", action="store_true", help="print the reduced fraction")
     _add_common(p)
     p.set_defaults(func=_cmd_entry)
 
     p = sub.add_parser("gram", help="print or write the full (size+1)x(size+1) matrix")
-    p.add_argument("size", type=_int_arg(0))
+    p.add_argument("size", type=int)
     p.add_argument("--exact", action="store_true", help="exact rational entries")
     p.add_argument("--out", default=None, metavar="PATH", help="write to a file")
     _add_common(p)
     p.set_defaults(func=_cmd_gram)
 
     p = sub.add_parser("verify", help="check the closed forms against an oracle")
-    p.add_argument("--max-order", type=_int_arg(0), default=20)
+    p.add_argument("--max-order", type=int, default=20)
     p.add_argument("--oracle", choices=("exact", "quad"), default="exact")
     p.add_argument(
         "--quad-degree",
-        type=_int_arg(1),
+        type=int,
         help=(
             "Gauss-Legendre nodes per axis of the product rule, quad oracle only; "
             "refused if not exact up to 2 x max-order (default: the smallest exact rule, "
@@ -302,7 +289,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("expand-log", help="shifted Legendre expansion of log(x)")
-    p.add_argument("order", type=_int_arg(0))
+    p.add_argument("order", type=int)
     _add_common(p, max_order_cap=False)
     p.set_defaults(func=_cmd_expand_log)
 

@@ -20,6 +20,7 @@ and the exact oracle's modified moments in ``oracles``.
 
 from __future__ import annotations
 
+import math
 import operator
 import threading
 from dataclasses import dataclass
@@ -55,18 +56,22 @@ def check_order(n, max_order=None, *, name="order", minimum=0):
     value is returned as a Python int, which callers use in its place.
     Raises ValueError for non-integer input (bool included) or a value
     below ``minimum``, and OrderLimitError when the value exceeds
-    ``max_order`` (defaulting to the module-level MAX_ORDER; pass
-    math.inf for no ceiling).
+    ``max_order``.  The cap defaults to the module-level MAX_ORDER; a
+    given cap is validated too, and must be a nonnegative integer or
+    math.inf (no ceiling), else ValueError names ``max_order``.
     """
+    if max_order is None:
+        max_order = MAX_ORDER
+    elif not (isinstance(max_order, float) and max_order == math.inf):
+        max_order = check_order(max_order, math.inf, name="max_order")
     if isinstance(n, bool) or not hasattr(n, "__index__"):
         raise ValueError(f"{name} must be an integer, got {n!r}")
     n = operator.index(n)
     if n < minimum:
         bound = {0: "nonnegative", 1: "positive"}.get(minimum, f"at least {minimum}")
         raise ValueError(f"{name} must be {bound}, got {n}")
-    cap = MAX_ORDER if max_order is None else max_order
-    if n > cap:
-        raise OrderLimitError(f"{name} {n} exceeds the configured maximum {cap}")
+    if n > max_order:
+        raise OrderLimitError(f"{name} {n} exceeds the configured maximum {max_order}")
     return n
 
 

@@ -295,6 +295,21 @@ def test_float_form_on_an_exact_gram_converts_only_its_block():
         assert value == bilinear_log_form(a, b, gram_float(3))
 
 
+@pytest.mark.parametrize(
+    "a, b, build",
+    [
+        ([Fraction(10**400)], [1.0], gram_float),
+        ([10**400], [0.5], gram_float),
+        ([1.5], [10**400], gram_exact),
+    ],
+    ids=["fraction-a", "int-a", "int-b"],
+)
+def test_float_form_refuses_coefficients_beyond_the_double_range(a, b, build):
+    # an int or Fraction past the largest double has no float to round to
+    with pytest.raises(ValueError, match="beyond the double range"):
+        bilinear_log_form(a, b, build(0))
+
+
 def test_bilinear_rejects_undersized_gram():
     gram = gram_exact(1)
     with pytest.raises(OrderLimitError):

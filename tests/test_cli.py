@@ -471,6 +471,15 @@ def test_bilinear_file_not_utf8_names_the_file(run_cli, tmp_path):
         assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
 
 
+def test_bilinear_file_without_values_names_the_file(run_cli, tmp_path):
+    empty = _write(tmp_path / "empty.txt", "# only comments\n\n   \n# and blank lines\n")
+    one = _write(tmp_path / "one.txt", "1\n")
+    for a, b in ((empty, one), (one, empty)):
+        for fmt in ("plain", "csv", "json"):
+            code, out, err = run_cli("bilinear", a, b, "--format", fmt)
+            assert (code, out, err) == (1, "", f"error: {empty}: no coefficient values found\n")
+
+
 def test_bilinear_zero_vector_stays_exact(run_cli, tmp_path):
     a = _write(tmp_path / "zero.txt", "0\n0\n")
     b = _write(tmp_path / "b.txt", "1/2\n3\n")
@@ -599,3 +608,57 @@ def test_only_main_writes_stdout():
     ]
     assert writers
     assert all(main.lineno <= line <= main.end_lineno for line in writers), writers
+
+
+# the library's check names the parameter; argparse names the argument it cannot parse
+_BAD_INTEGERS = [
+    (("entry", "-1", "0"), "n must be nonnegative, got -1"),
+    (("entry", "0", "-2"), "m must be nonnegative, got -2"),
+    (("gram", "-3"), "size must be nonnegative, got -3"),
+    (("gram", "-3", "--out", "{out}"), "size must be nonnegative, got -3"),
+    (("expand-log", "-1"), "order must be nonnegative, got -1"),
+    (("verify", "--max-order", "-1"), "max_order must be nonnegative, got -1"),
+    (("verify", "--oracle", "quad", "--quad-degree", "0"), "degree must be positive, got 0"),
+    (("verify", "--oracle", "exact", "--quad-degree", "-2"), "degree must be positive, got -2"),
+    (("entry", "2", "1", "--max-order-cap", "-1"), "max_order must be nonnegative, got -1"),
+    (("gram", "2", "--max-order-cap", "-1"), "max_order must be nonnegative, got -1"),
+    (
+        ("bilinear", "{one}", "{one}", "--max-order-cap", "-1"),
+        "max_order must be nonnegative, got -1",
+    ),
+    (("gram", "x"), "argument size: invalid int value: 'x'"),
+    (
+        ("entry", "2", "1", "--max-order-cap", "2.5"),
+        "argument --max-order-cap: invalid int value: '2.5'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    _BAD_INTEGERS,
+    ids=["_".join(argv).replace("{", "").replace("}", "") for argv, _ in _BAD_INTEGERS],
+)
+def test_bad_integer_is_one_error_line_naming_the_parameter(run_cli, tmp_path, argv, message):
+    paths = {"out": str(tmp_path / "g.txt"), "one": _write(tmp_path / "one.txt", "1\n")}
+    argv = [arg.format(**paths) for arg in argv]
+    for fmt in ("plain", "csv", "json"):
+        assert run_cli(*argv, "--format", fmt) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "g.txt").exists()
+
+
+def test_cli_leaves_integer_checks_to_the_library():
+    # every integer argument is parsed by int and range-checked once, by the
+    # check_order call that starts the library function the command reaches
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "legendre" not in imported
+    types = [
+        keyword.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+        for keyword in node.keywords
+        if keyword.arg == "type"
+    ]
+    assert len(types) == 7
+    assert all(isinstance(t, ast.Name) and t.id == "int" for t in types)

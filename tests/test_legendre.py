@@ -215,6 +215,12 @@ _CLI_BAD = (True, 2.0, "3e0")
             _via_cli("verify", "--oracle", "quad", "--max-order", "0", "--quad-degree", None),
             1, _CLI_BAD, id="cli-quad-degree",
         ),
+        pytest.param(_via_cli("verify", "--max-order", None), 0, _CLI_BAD, id="cli-max-order"),
+        pytest.param(_via_cli("expand-log", None), 0, _CLI_BAD, id="cli-expand-log-order"),
+        pytest.param(
+            _via_cli("entry", "2", "1", "--max-order-cap", None), 0, _CLI_BAD,
+            id="cli-max-order-cap",
+        ),
     ],
 )
 def test_integer_entry_points_reject_non_integers_and_low_values(func, minimum, bad_values):
@@ -276,6 +282,29 @@ def test_integer_entry_points_take_numpy_integers(func, args, numpy_int):
 def test_integer_entry_points_refuse_numpy_bools(func, args):
     with pytest.raises(ValueError, match="must be an integer"):
         func(np.bool_(True), *args[1:])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda cap: legendre.check_order(2, cap), id="check_order"),
+        pytest.param(lambda cap: lg.entry(2, 1, max_order=cap), id="entry"),
+        pytest.param(lambda cap: lg.gram_exact(2, max_order=cap), id="gram_exact"),
+    ],
+)
+def test_max_order_cap_is_validated(call):
+    # a cap is a nonnegative integer or math.inf: a bool is not read as 1,
+    # nor a float as a bound, nor a string compared to an int
+    for cap in (True, "5", 2.5, -1):
+        with pytest.raises(ValueError, match="^max_order must be ") as info:
+            call(cap)
+        assert not isinstance(info.value, OrderLimitError)
+    expected = call(None)
+    for cap in (math.inf, 2, 5, np.int64(5), np.int32(2)):
+        assert _same(call(cap), expected)
+    for cap in (1, np.int64(1)):
+        with pytest.raises(OrderLimitError, match="exceeds the configured maximum 1$"):
+            call(cap)
 
 
 def test_legendre_imports_no_numpy():

@@ -9,14 +9,15 @@ from fractions import Fraction
 import pytest
 
 import loglegram
+from loglegram import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _library_block() -> list:
-    """The lines of the first python code block under "## Library"."""
+def _code_block(heading: str, fence: str) -> list:
+    """The lines of the first code block opened by ``fence`` under ``heading``."""
     text = README.read_text(encoding="utf-8")
-    start = text.index("```python", text.index("## Library"))
+    start = text.index(fence, text.index(heading))
     return text[start : text.index("```", start + 3)].splitlines()
 
 
@@ -45,9 +46,29 @@ LIBRARY = [
 
 @pytest.mark.parametrize("call, stated, value", LIBRARY)
 def test_library_block_values_hold(call, stated, value):
-    lines = [line for line in _library_block() if line.startswith(call + " ")]
+    lines = [line for line in _code_block("## Library", "```python") if line.startswith(call + " ")]
     assert len(lines) == 1, call
     assert lines[0].split("#", 1)[1].strip().startswith(stated)
     result = eval(call, {"lg": loglegram})
     assert result == value
     assert type(result) is type(value) or isinstance(value, float)
+
+
+# (the arguments as written in the CLI block, the stdout its comment states,
+# with lines joined by " / ")
+CLI = [
+    ("entry 2 1 --exact", "1/4"),
+    ("gram 1 --exact --format csv", "-1/1,1/2 / 1/2,-4/9"),
+    ("verify --max-order 20 --oracle exact", "231/231 pairs exact"),
+]
+
+
+@pytest.mark.parametrize("args, stated", CLI)
+def test_cli_block_outputs_hold(args, stated, capsys):
+    block = _code_block("## CLI", "```sh")
+    lines = [line for line in block if line.startswith(f"loglegram {args} ")]
+    assert len(lines) == 1, args
+    assert lines[0].split("#", 1)[1].strip() == stated
+    assert cli.main(args.split()) == 0
+    captured = capsys.readouterr()
+    assert (" / ".join(captured.out.splitlines()), captured.err) == (stated, "")
