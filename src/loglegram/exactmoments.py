@@ -227,11 +227,12 @@ def entry(n: int, m: int, *, max_order=None) -> Fraction:
     Dispatches to the diagonal closed sum when n = m (where the
     off-diagonal formula would divide by zero) and to the off-diagonal
     closed form otherwise; N[n, m] = N[m, n] makes the order of the
-    arguments immaterial.
+    arguments immaterial.  Both indices are validated before they are
+    compared, each once.
     """
-    if n == m:
-        return entry_diag(n, max_order=max_order)
-    return entry_offdiag(n, m, max_order=max_order)
+    n = check_order(n, max_order, name="n")
+    m = check_order(m, max_order, name="m")
+    return _split_diagonal(n) if n == m else _offdiag(n, m)
 
 
 def gram_exact(size: int, *, max_order=None) -> GramMatrix:

@@ -34,7 +34,9 @@ from .errors import OrderLimitError
 #: oracle's sweep, over L = lcm(1..2M+1)**2 (1,486 bits at 256); the
 #: exact oracle's store of modified moments, 2M + 1 reduced fractions; the
 #: single-pair exact oracle, whose ``coeffs_exact`` vectors grow like
-#: (3 + 2*sqrt(2))**n ~ 5.83**n; and ``oracles.MAX_QUAD_DEGREE``, M + 1.
+#: (3 + 2*sqrt(2))**n ~ 5.83**n (647 bits summed at 256) and which packs
+#: two of them into ints of about 332k bits each at 256, one digit of 162
+#: bytes per coefficient; and ``oracles.MAX_QUAD_DEGREE``, M + 1.
 #: Only the closed forms (``entry``, ``entry_diag``, ``entry_offdiag``,
 #: ``gram_exact``, ``gram_float``) take a per-call ``max_order``.
 MAX_ORDER = 256
@@ -64,9 +66,12 @@ def check_order(n, max_order=None, *, name="order", minimum=0):
         max_order = MAX_ORDER
     elif not (isinstance(max_order, float) and max_order == math.inf):
         max_order = check_order(max_order, math.inf, name="max_order")
-    if isinstance(n, bool) or not hasattr(n, "__index__"):
-        raise ValueError(f"{name} must be an integer, got {n!r}")
-    n = operator.index(n)
+    try:
+        if isinstance(n, bool):
+            raise TypeError
+        n = operator.index(n)  # refuses a numpy array of one or more dimensions
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
     if n < minimum:
         bound = {0: "nonnegative", 1: "positive"}.get(minimum, f"at least {minimum}")
         raise ValueError(f"{name} must be {bound}, got {n}")
@@ -119,15 +124,24 @@ def recurrence_sweep(n_max, x):
 
     This is the package's one floating recurrence loop: the quadrature
     oracle's single pairs and its table both consume it, so their values
-    agree bit for bit.  ``x`` may be a float, a Fraction or an ndarray;
-    exact input gives exact values, and |P_n| <= 1 holds only on [0, 1].
+    agree bit for bit.  ``x`` may be a float, a Fraction or a float
+    ndarray, on which each step is computed in place in one new array (an
+    integer array is refused by the in-place division); exact input gives
+    exact values, and |P_n| <= 1 holds only on [0, 1].
     A negative ``n_max`` yields nothing.  The order is not validated here.
     """
     t = 2 * x - 1
     p_prev, p_cur = x * 0 + 1, t
     yield from (p_prev, p_cur)[: max(n_max + 1, 0)]
     for k in range(1, n_max):
-        p_prev, p_cur = p_cur, ((2 * k + 1) * t * p_cur - k * p_prev) / (k + 1)
+        # ((2k+1) t P_k - k P_{k-1}) / (k+1), operation for operation; on an
+        # array the step writes only into its own new array, never into a
+        # value already yielded
+        nxt = (2 * k + 1) * t
+        nxt *= p_cur
+        nxt -= k * p_prev
+        nxt /= k + 1
+        p_prev, p_cur = p_cur, nxt
         yield p_cur
 
 

@@ -76,19 +76,43 @@ QUAD_ABS_TOL = 1e-13
 def exact_entry_oracle(n: int, m: int) -> Fraction:
     """N[n, m] by exact monomial expansion, n, m <= MAX_ORDER, independent of the closed forms.
 
-    Convolves the integer coefficient vectors of P_n(2x-1) and
-    P_m(2x-1), then integrates the product against the log moments
-    -1/(k+1)**2, k <= n+m, as one integer sum over the common
-    denominator big = lcm(1..n+m+1)**2, of which each moment is the
-    whole multiple -(big // (k+1)**2) / big.
+    Multiplies the integer coefficient vectors a of P_n(2x-1) and b of
+    P_m(2x-1) by Kronecker substitution: each is packed into one int, its
+    k-th coefficient the k-th digit in base 2**(8w), and the two ints are
+    multiplied once (squared, as one object, when n == m).  No coefficient
+    of the product exceeds sum|a| * sum|b| in magnitude, so w bytes with a
+    spare sign bit above that bound hold every one.  A vector is packed as
+    its positive part minus its negative part, each of nonnegative digits,
+    and a bias of 2**(8w-1) added to every digit of the product keeps each
+    digit in [0, 2**(8w)), so the n+m+1 coefficients are read back from
+    its bytes with no borrow between digits.  They are then integrated
+    against the log moments -1/(k+1)**2, k <= n+m, as one integer sum over
+    the common denominator big = lcm(1..n+m+1)**2, of which each moment is
+    the whole multiple -(big // (k+1)**2) / big.  At order 256 the packed
+    ints have about 332k bits each.
     """
     n = check_order(n, name="n")
     m = check_order(m, name="m")
-    # object arrays: numpy's loop, Python's exact integer products
-    a, b = (np.array(coeffs_exact(k).coeffs, dtype=object) for k in (n, m))
-    conv = np.convolve(a, b).tolist()
-    big = math.lcm(*range(1, n + m + 2)) ** 2
+    a, b = coeffs_exact(n).coeffs, coeffs_exact(m).coeffs
+    width = (sum(map(abs, a)) * sum(map(abs, b))).bit_length() // 8 + 1
+    packed_a = _packed(a, width)
+    packed_b = packed_a if n == m else _packed(b, width)
+    size = n + m + 1
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    digits = (packed_a * packed_b + bias).to_bytes(size * width, "little")
+    half = 1 << (8 * width - 1)
+    conv = [
+        int.from_bytes(digits[i : i + width], "little") - half for i in range(0, size * width, width)
+    ]
+    big = math.lcm(*range(1, size + 1)) ** 2
     return Fraction(-sum(c * (big // (k + 1) ** 2) for k, c in enumerate(conv)), big)
+
+
+def _packed(coeffs: tuple, width: int) -> int:
+    """sum(c_k * 2**(8 * width * k)): the vector as digits in base 2**(8 * width)."""
+    positive = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs)
+    negative = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import loglegram as lg
-from loglegram import cli, legendre
+from loglegram import cli, legendre, oracles
 from loglegram.errors import OrderLimitError
 from loglegram.legendre import MonomialPoly, coeffs_exact, recurrence_sweep
 from loglegram.oracles import gauss_legendre_rule, shifted_legendre_table
@@ -68,6 +68,14 @@ def test_eval_batch_bitwise_matches_single_eval():
         assert len(values) == 65
         for n, v in enumerate(values):
             assert v == _last(n, x)
+    # on an array each step is computed in place: no later step may write
+    # into a value already yielded, so the collected list must still hold
+    # every order's own values
+    x, _ = oracles._quad_kernel(63)
+    values = list(recurrence_sweep(64, x))
+    assert len(values) == 65
+    for n, v in enumerate(values):
+        assert v.tobytes() == _last(n, x).tobytes(), n
 
 
 def test_exact_coefficients_low_orders():
@@ -282,6 +290,15 @@ def test_integer_entry_points_take_numpy_integers(func, args, numpy_int):
 def test_integer_entry_points_refuse_numpy_bools(func, args):
     with pytest.raises(ValueError, match="must be an integer"):
         func(np.bool_(True), *args[1:])
+
+
+@pytest.mark.parametrize("array", [np.array([2]), np.array([2, 3])], ids=["one", "two"])
+@pytest.mark.parametrize("func, args", _INTEGER_CALLS)
+def test_integer_entry_points_refuse_numpy_arrays(func, args, array):
+    # an array of one or more dimensions is not an integer, however many
+    # values it holds: a ValueError naming the parameter, not numpy's own error
+    with pytest.raises(ValueError, match="must be an integer"):
+        func(array, *args[1:])
 
 
 @pytest.mark.parametrize(

@@ -50,6 +50,8 @@ def test_exact_oracle_matches_fraction_term_sum():
 
     pairs = [(n, m) for n in range(25) for m in range(25)]
     pairs += [(64, m) for m in range(65)]
+    # the widest packed digits, and the squared product at n == m
+    pairs += [(MAX_ORDER, m) for m in (0, 1, MAX_ORDER - 1, MAX_ORDER)]
     for n, m in pairs:
         assert exact_entry_oracle(n, m) == term_sum(n, m), (n, m)
 
