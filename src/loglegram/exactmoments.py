@@ -14,28 +14,29 @@ representable integers is correctly rounded, so the float Gram divides
 in numpy and needs rational arithmetic only for its diagonal.
 
 No closed form depends on the matrix size, so the Gram of order k is the
-leading block of every larger one.  The module keeps three stores, each
-a table that only grows, so that every value in it is built once per
-process: the rows of N up to ``MAX_ORDER`` (about 3 MiB when full), and
-two read-only float64 arrays, float(N[n, m]) up to ``MAX_ORDER`` (257**2
-doubles, about 516 KiB) and, with no cap, float(N[n, n]) beside
-float((2n+1) N[n, n]) (16 bytes per n).  Exact diagonal values are kept
-only as cells of the rows.  A store that does not cover a request is
-grown under one lock: a new table is built from the old one, only the
-new values computed, and published by one assignment, so no caller sees
-a half-grown table.  A request past a store's cap is built from its
-current table and not kept.
+leading block of every larger one.  The module keeps three stores, the
+package's only ones, each a ``_Store``: a table that only grows, so that
+every value in it is built once per process: the rows of N up to
+``MAX_ORDER`` (about 3 MiB when full), and two read-only float64 arrays,
+float(N[n, m]) up to ``MAX_ORDER`` (257**2 doubles, about 516 KiB) and,
+with no cap, float(N[n, n]) beside float((2n+1) N[n, n]) (16 bytes per
+n).  Exact diagonal values are kept only as cells of the rows.  A store
+that does not cover a request is grown under one lock: a new table is
+built from the old one, only the new values computed, and published by
+one assignment, so no caller sees a half-grown table.  A request past a
+store's cap is built from its current table and not kept.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .legendre import MAX_ORDER, _Store, check_order
+from .legendre import MAX_ORDER, check_order
 
 __all__ = [
     "GramMatrix",
@@ -180,6 +181,29 @@ def _grown(rows: list, size: int) -> list:
         row.extend(_offdiag(n, m) for m in range(n + 1, size + 1))
         grown.append(row)
     return grown
+
+
+_lock = threading.RLock()  # growing _float_gram grows _float_diagonal inside it
+
+
+class _Store:
+    """A table that only grows, each growth published whole under ``_lock``.
+
+    ``grow(table, size)`` returns a new table longer than ``size`` and
+    leaves ``table`` unchanged, so no reader sees a half-grown one.
+    """
+
+    def __init__(self, table, grow):
+        self.table = table
+        self.grow = grow
+
+    def covering(self, size: int):
+        """The table, first grown if its length does not exceed ``size``."""
+        if len(self.table) <= size:
+            with _lock:
+                if len(self.table) <= size:
+                    self.table = self.grow(self.table, size)
+        return self.table
 
 
 # Each is read through covering(); only _float_diagonal is asked past MAX_ORDER.

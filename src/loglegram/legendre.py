@@ -13,16 +13,15 @@ monomial basis of x come from the closed binomial sum
 
 each term taken from the one before by an exact integer ratio.
 
-The module also holds ``_Store``, the grow-once table behind every
-per-process store of exact or rounded values: those of ``exactmoments``
-and the exact oracle's modified moments in ``oracles``.
+Of the package's exact paths only the single-pair exact oracle uses
+these polynomials (``coeffs_exact``); the closed forms and the exact
+sweep of ``oracles`` (the x d/dx identity) build neither.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass
 
 from .errors import OrderLimitError
@@ -30,13 +29,13 @@ from .errors import OrderLimitError
 #: Ceiling on polynomial orders accepted by public entry points.  At
 #: order M it bounds what the package builds and keeps: the exact row
 #: store of ``exactmoments`` (about 3 MiB at 256) and its float Gram store
-#: ((M+1)**2 doubles, about 516 KiB at 256); the integers of the exact
-#: oracle's sweep, over L = lcm(1..2M+1)**2 (1,486 bits at 256); the
-#: exact oracle's store of modified moments, 2M + 1 reduced fractions; the
-#: single-pair exact oracle, whose ``coeffs_exact`` vectors grow like
-#: (3 + 2*sqrt(2))**n ~ 5.83**n (647 bits summed at 256) and which packs
-#: two of them into ints of about 332k bits each at 256, one digit of 162
-#: bytes per coefficient; and ``oracles.MAX_QUAD_DEGREE``, M + 1.
+#: ((M+1)**2 doubles, about 516 KiB at 256); the (M+1)(M+2)/2 integers
+#: of the exact oracle's sweep, over L = lcm(1..2M+1)**2 (1,486 bits at
+#: 256), built per call and not kept; the single-pair exact oracle, whose
+#: ``coeffs_exact`` vectors grow like (3 + 2*sqrt(2))**n ~ 5.83**n (647
+#: bits summed at 256) and which packs two of them into ints of about
+#: 332k bits each at 256, one digit of 162 bytes per coefficient; and
+#: ``oracles.MAX_QUAD_DEGREE``, M + 1.
 #: Only the closed forms (``entry``, ``entry_diag``, ``entry_offdiag``,
 #: ``gram_exact``, ``gram_float``) take a per-call ``max_order``.
 MAX_ORDER = 256
@@ -94,29 +93,6 @@ class MonomialPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-
-_lock = threading.RLock()  # growing one store may grow another inside it
-
-
-class _Store:
-    """A table that only grows, each growth published whole under ``_lock``.
-
-    ``grow(table, size)`` returns a new table longer than ``size`` and
-    leaves ``table`` unchanged, so no reader sees a half-grown one.
-    """
-
-    def __init__(self, table, grow):
-        self.table = table
-        self.grow = grow
-
-    def covering(self, size: int):
-        """The table, first grown if its length does not exceed ``size``."""
-        if len(self.table) <= size:
-            with _lock:
-                if len(self.table) <= size:
-                    self.table = self.grow(self.table, size)
-        return self.table
 
 
 def recurrence_sweep(n_max, x):

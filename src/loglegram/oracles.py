@@ -2,10 +2,12 @@
 
 Two oracles, sharing no formula with :mod:`loglegram.exactmoments`:
 
-* an exact symbolic one, up to MAX_ORDER: integrate P_n(2x-1) P_m(2x-1)
-  against the log moments -1/(k+1)**2 of x**k as one integer sum, a pair
-  by its monomial expansion, a sweep by the three-term recurrence (two
-  derivations, tied together only by the tests);
+* an exact symbolic one, up to MAX_ORDER, by two derivations tied
+  together only by the tests: a pair integrates the monomial expansion of
+  P_n(2x-1) P_m(2x-1) against the log moments -1/(k+1)**2 of x**k as one
+  integer sum; a sweep solves mu(f + x f') = integral of f over [0, 1],
+  mu(f) the integral of f(x) (-log x), on the products P_n P_m, with no
+  moment and no coefficient vector;
 
 * a floating one: a Gauss-Legendre product rule.  Since -log(x) is the
   integral of dt/t over [x, 1], Fubini gives
@@ -26,12 +28,11 @@ Two oracles, sharing no formula with :mod:`loglegram.exactmoments`:
 
 ``verify_range`` compares the closed-form Gram from ``exactmoments``
 against either oracle on all pairs at once and reports per-pair results
-as arrays: the exact oracle's sums for every pair come from the integer
-recurrence over the upper triangle, about max_order**2 steps, started
-from the modified moments of -log(x), which the module builds once per
-process up to order 2 * MAX_ORDER; the quadrature for every pair from
-symmetric products of the weighted recurrence table with itself, summed
-over node chunks so that the table stays bounded in memory at any order.
+as arrays: the exact oracle's sums for every pair come from that sweep
+over the upper triangle, about max_order**2 / 2 integer steps, with no
+state kept; the quadrature for every pair from symmetric products of the
+weighted recurrence table with itself, summed over node chunks so that
+the table stays bounded in memory at any order.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import OrderLimitError
-from .legendre import MAX_ORDER, _Store, check_order, coeffs_exact, recurrence_sweep
+from .legendre import MAX_ORDER, check_order, coeffs_exact, recurrence_sweep
 
 __all__ = [
     "MAX_QUAD_DEGREE",
@@ -230,61 +231,34 @@ def _quad_gram(n_max: int, rule: QuadratureRule | None) -> np.ndarray:
     return np.negative(products, out=products)
 
 
-def _modified_moments(top: int) -> list:
-    """nu_k = mu(P_k) for k = 0..top, as reduced fractions, mu(x**l) = 1/(l+1)**2.
-
-    nu_k is the integral of P_k(2x-1) (-log x) over [0, 1].  It comes from
-    the moments of x**l alone, by the mixed-moment step of Gautschi's
-    modified Chebyshev algorithm: (k+1) P_{k+1} = (2k+1) (2x-1) P_k - k P_{k-1}
-    applied under mu over the triangle mu(P_k x**l), l <= top - k, two rows
-    at a time, with (2x-1) x**l = 2 x**(l+1) - x**l.  The triangle is taken
-    over big = lcm(1..top+1)**2, where every entry is an integer and every
-    division exact; only its column 0 is kept.
-    """
-    big = math.lcm(*range(1, top + 2)) ** 2
-    row = [big // (l + 1) ** 2 for l in range(top + 1)]
-    prev = [0] * len(row)  # P_{-1} = 0
-    column = []
-    for k in range(top + 1):
-        column.append(Fraction(row[0], big))
-        prev, row = row, [
-            ((2 * k + 1) * (2 * b - a) - k * p) // (k + 1) for a, b, p in zip(row, row[1:], prev)
-        ]
-    return column
-
-
-# Rebuilt whole at each larger order: the triangle keeps no state to extend.
-_moments = _Store([], lambda old, top: _modified_moments(top))
-
-
 def _exact_sums(n_max: int):
     """Return (sums, big), N[n, m] = -sums[i] / big for the i-th pair of np.tril_indices(n_max + 1).
 
-    sums[i] = S[n, m] = mu(P_n P_m) for mu(x**l) = big // (l+1)**2, big =
-    lcm(1..2*n_max+1)**2, n_max <= MAX_ORDER.  Row 0, S[0, j] = big * nu_j
-    for j <= 2*n_max, is the modified moments of ``_modified_moments``,
-    which the module keeps for the process and grows only for a larger
-    order; big * nu_j is an integer, since the denominator of nu_j divides
-    lcm(1..j+1)**2.  The rows follow from
-    (k+1) P_{k+1} = (2k+1) (2x-1) P_k - k P_{k-1} under mu, with 2x-1
-    moved onto the column: (2x-1) P_j = ((j+1) P_{j+1} + j P_{j-1}) / (2j+1).
-    As S is symmetric, row k runs over columns k..2*n_max-k only, all that
-    row k+1 needs of it; columns k..n_max are kept for the output, and two
-    whole rows for the recurrence.  Each quotient is mu of an integer
-    polynomial, so every division is exact.
+    sums[i] = S[n, m] = big * G[n, m] with G = -N, big = lcm(1..2*n_max+1)**2,
+    n_max <= MAX_ORDER.  No moment or coefficient vector is built: with
+    mu(f) = integral of f(x) (-log x) over [0, 1], integration by parts
+    gives mu(f + x f') = integral of f over [0, 1], and x d/dx P_n(2x-1) =
+    n P_n(2x-1) + sum_{k<n} (2k+1) P_k(2x-1), so f = P_n(2x-1) P_m(2x-1) gives
+
+        (n+m+1) S[n, m] = big * [n == m] / (2n+1)
+                          - sum_{k<n} (2k+1) S[k, m] - sum_{k<m} (2k+1) S[n, k].
+
+    The sweep runs over the upper triangle, row by row, keeping the first
+    sum per column; the second runs along the row from column n, where by
+    symmetry it equals the first.  The denominator of G[n, m] divides
+    lcm(1..n+m+1)**2, so S[n, m] is an integer and every division exact.
     """
-    top = 2 * n_max
-    big = math.lcm(*range(1, top + 2)) ** 2
-    row = [nu.numerator * (big // nu.denominator) for nu in _moments.covering(top)[: top + 1]]
-    prev = [0] * len(row)  # P_{-1} = 0
-    upper = []  # upper[k][i] = S[k, k+i] for i <= n_max - k
-    for k in range(n_max + 1):
-        upper.append(row[: n_max - k + 1])
-        # row[i] = S[k, k+i] and prev[i] = S[k-1, k-1+i]; the new row is S[k+1, j], j > k
-        prev, row = row, [
-            ((2 * k + 1) * (((j + 1) * b + j * a) // (2 * j + 1)) - k * p) // (k + 1)
-            for j, a, b, p in zip(range(k + 1, top - k), row, row[2:], prev[2:])
-        ]
+    big = math.lcm(*range(1, 2 * n_max + 2)) ** 2
+    column = [0] * (n_max + 1)  # column[m] = sum_{k<n} (2k+1) S[k, m] before row n
+    upper = []  # upper[n][i] = S[n, n+i]
+    for n in range(n_max + 1):
+        along, row = column[n], []  # along = sum_{k<m} (2k+1) S[n, k]
+        for m in range(n, n_max + 1):
+            s = ((big // (2 * n + 1) if m == n else 0) - column[m] - along) // (n + m + 1)
+            row.append(s)
+            along += (2 * m + 1) * s
+            column[m] += (2 * n + 1) * s
+        upper.append(row)
     return [upper[m][n - m] for n in range(n_max + 1) for m in range(n + 1)], big
 
 
@@ -390,7 +364,9 @@ def verify_range(
 
     The closed-form side is one Gram, ``gram_exact`` or ``gram_float``
     (the latter indexed as one array).  The exact oracle evaluates all
-    pairs by one integer recurrence (see ``_exact_sums``), the quad oracle
+    pairs by one integer recurrence from the x d/dx identity, which uses
+    neither the log moments nor the monomial expansion of
+    ``exact_entry_oracle`` (see ``_exact_sums``), the quad oracle
     in one symmetric product per node chunk of its table (see
     ``_quad_gram``).  Exact pairs are compared by cross-multiplication.
     With the same rule, the quad sweep sums in another order than

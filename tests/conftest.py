@@ -2,7 +2,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import threading
 
 import pytest
 
@@ -38,33 +37,3 @@ def cli_process():
         return subprocess.Popen(command, env=env, **popen_kwargs)
 
     return start
-
-
-@pytest.fixture
-def in_four_threads():
-    """``_in_four_threads``, for the store tests of each module."""
-    return _in_four_threads
-
-
-def _in_four_threads(build):
-    """[(size, entries), ...] from build(i, k) for k < 8 in threads i < 4."""
-    start = threading.Barrier(4)
-    results = [[] for _ in range(4)]
-
-    def run(i):
-        start.wait()
-        results[i].extend(build(i, k) for k in range(8))
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert sum(len(r) for r in results) == 32
-    return [pair for r in results for pair in r]

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from loglegram import exactmoments
 from loglegram.analysis import diag_scaling_table
 from loglegram.errors import OrderLimitError
 from loglegram.exactmoments import (
+    _Store,
     entry,
     entry_diag,
     entry_offdiag,
@@ -18,7 +21,7 @@ from loglegram.exactmoments import (
     gram_float,
     scaled_diagonal,
 )
-from loglegram.legendre import MAX_ORDER, _Store
+from loglegram.legendre import MAX_ORDER
 
 # frozen values, each checked against the independent monomial oracle
 OFFDIAG_CASES = [
@@ -320,6 +323,36 @@ def test_gram_past_max_order_is_not_retained(reference):
     assert diagonal == [s / (2 * n + 1) for n, s in enumerate(fresh)]
     assert all(gram.entries[n][m] == gram.entries[m][n] for n in range(301) for m in range(n))
     assert exactmoments._rows.table is stored and len(stored) == MAX_ORDER + 1
+
+
+@pytest.fixture
+def in_four_threads():
+    """``_in_four_threads``, for the concurrent store tests."""
+    return _in_four_threads
+
+
+def _in_four_threads(build):
+    """[(size, entries), ...] from build(i, k) for k < 8 in threads i < 4."""
+    start = threading.Barrier(4)
+    results = [[] for _ in range(4)]
+
+    def run(i):
+        start.wait()
+        results[i].extend(build(i, k) for k in range(8))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sum(len(r) for r in results) == 32
+    return [pair for r in results for pair in r]
 
 
 def test_concurrent_builds_see_whole_tables(reference, empty_store, in_four_threads):

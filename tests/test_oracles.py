@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from loglegram import exactmoments, oracles
+from loglegram import exactmoments, legendre, oracles
 from loglegram.errors import OrderLimitError
-from loglegram.legendre import MAX_ORDER, _Store, coeffs_exact, recurrence_sweep
+from loglegram.exactmoments import _Store
+from loglegram.legendre import MAX_ORDER, coeffs_exact, recurrence_sweep
 from loglegram.oracles import (
     exact_entry_oracle,
     gauss_legendre_rule,
@@ -461,69 +462,24 @@ def test_exact_sums_past_order_128_are_the_single_oracle():
             assert Fraction(-s, big) == exact_entry_oracle(n, m), (n, m)
 
 
-SWEEP_ORDERS = list(range(65)) + [128, MAX_ORDER]
+def test_exact_sums_agree_across_orders():
+    # each order's sums are the leading ones of the largest sweep, rescaled
+    # from lcm(1..2k+1)**2 to the common denominator at MAX_ORDER
+    sums, big = oracles._exact_sums(MAX_ORDER)
+    for k in list(range(65)) + [128, MAX_ORDER]:
+        leading, big_k = oracles._exact_sums(k)
+        assert big % big_k == 0, k
+        scale = big // big_k
+        count = (k + 1) * (k + 2) // 2
+        assert [s * scale for s in leading] == sums[:count], k
 
 
-@pytest.fixture(scope="module")
-def cold_sums():
-    # each sweep from a store built at its own order, as a fresh process would
-    saved = oracles._moments.table
-    sums = {}
-    try:
-        for n in SWEEP_ORDERS:
-            oracles._moments.table = []
-            sums[n] = oracles._exact_sums(n)
-    finally:
-        oracles._moments.table = saved
-    return sums
-
-
-@pytest.fixture
-def empty_moments(monkeypatch):
-    monkeypatch.setattr(oracles._moments, "table", [])
-
-
-def test_exact_sums_do_not_depend_on_the_moment_store(cold_sums, monkeypatch):
-    # the store pre-grown to its cap, then grown in rising steps from empty
-    monkeypatch.setattr(oracles._moments, "table", oracles._modified_moments(2 * MAX_ORDER))
-    assert all(oracles._exact_sums(n) == cold_sums[n] for n in SWEEP_ORDERS)
-    monkeypatch.setattr(oracles._moments, "table", [])
-    for n in SWEEP_ORDERS:
-        assert oracles._exact_sums(n) == cold_sums[n], n
-        assert len(oracles._moments.table) == 2 * n + 1
-    # a smaller sweep reads the store and leaves it as it is
-    stored = oracles._moments.table
-    assert oracles._exact_sums(40) == cold_sums[40]
-    assert oracles._moments.table is stored
-
-
-def test_concurrent_sweeps_see_whole_moment_tables(cold_sums, empty_moments, in_four_threads):
-    def build(i, k):
-        n = SWEEP_ORDERS[(37 * i + 53 * k) % len(SWEEP_ORDERS)]
-        return n, oracles._exact_sums(n)
-
-    results = in_four_threads(build)
-    for n, sums in results:
-        assert sums == cold_sums[n], n
-    assert len(oracles._moments.table) == 2 * max(n for n, _ in results) + 1
-
-
-def test_empty_moments_resets_every_store(request):
-    # a store added to the module must be grown here and reset by the fixture
-    verify_range(2, "exact")
-    stores = [value for value in vars(oracles).values() if isinstance(value, _Store)]
-    assert len(stores) == 1 and all(len(store.table) for store in stores)
-    request.getfixturevalue("empty_moments")
-    assert all(len(store.table) == 0 for store in stores)
-
-
-def test_moment_store_stays_within_its_cap(empty_moments):
-    verify_range(MAX_ORDER, "exact")
-    stored = oracles._moments.table
-    assert len(stored) == 2 * MAX_ORDER + 1
-    with pytest.raises(OrderLimitError):
-        verify_range(MAX_ORDER + 1, "exact")
-    assert oracles._moments.table is stored and len(stored) == 2 * MAX_ORDER + 1
+def test_oracle_module_keeps_no_state():
+    # the oracles build what they need per call; the package's stores and
+    # their lock live in exactmoments alone
+    assert not any(isinstance(value, _Store) for value in vars(oracles).values())
+    assert _Store.__module__ == "loglegram.exactmoments"
+    assert "threading" not in inspect.getsource(legendre)
 
 
 @pytest.mark.parametrize("cell", [(256, 0), (256, 256), (200, 199), (129, 64)])
@@ -582,7 +538,6 @@ def test_oracles_are_structurally_independent():
         oracles._quad_kernel,
         oracles._quad_gram,
         oracles._exact_sums,
-        oracles._modified_moments,
     ):
         source = inspect.getsource(func)
         assert "exactmoments" not in source, func.__name__
