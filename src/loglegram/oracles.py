@@ -4,10 +4,11 @@ Two oracles, sharing no formula with :mod:`loglegram.exactmoments`:
 
 * an exact symbolic one, up to MAX_ORDER, by two derivations tied
   together only by the tests: a pair integrates the monomial expansion of
-  P_n(2x-1) P_m(2x-1) against the log moments -1/(k+1)**2 of x**k as one
-  integer sum; a sweep solves mu(f + x f') = integral of f over [0, 1],
-  mu(f) the integral of f(x) (-log x), on the products P_n P_m, with no
-  moment and no coefficient vector;
+  P_n(2x-1) P_m(2x-1), one unsigned big-integer product, against the log
+  moments -1/(k+1)**2 of x**k as one integer sum; a sweep solves
+  mu(f + x f') = integral of f over [0, 1], mu(f) the integral of
+  f(x) (-log x), on the products P_n P_m, with no moment and no
+  coefficient vector;
 
 * a floating one: a Gauss-Legendre product rule.  Since -log(x) is the
   integral of dt/t over [x, 1], Fubini gives
@@ -23,16 +24,16 @@ Two oracles, sharing no formula with :mod:`loglegram.exactmoments`:
   Without an explicit rule the oracle takes the smallest exact one, up to
   MAX_QUAD_DEGREE nodes, which covers every pair up to MAX_ORDER; a rule
   that cannot cover a request is refused with OrderLimitError before
-  anything is built, so a quad failure only ever means a wrong closed
-  form.
+  anything is built, and one not from ``gauss_legendre_rule`` with
+  ValueError, so a quad failure only ever means a wrong closed form.
 
 ``verify_range`` compares the closed-form Gram from ``exactmoments``
 against either oracle on all pairs at once and reports per-pair results
 as arrays: the exact oracle's sums for every pair come from that sweep
-over the upper triangle, about max_order**2 / 2 integer steps, with no
-state kept; the quadrature for every pair from symmetric products of the
-weighted recurrence table with itself, summed over node chunks so that
-the table stays bounded in memory at any order.
+over the lower triangle, in report order, about max_order**2 / 2 integer
+steps, with no state kept; the quadrature for every pair from symmetric
+products of the weighted recurrence table with itself, summed over node
+chunks so that the table stays bounded in memory at any order.
 """
 
 from __future__ import annotations
@@ -77,20 +78,18 @@ QUAD_ABS_TOL = 1e-13
 def exact_entry_oracle(n: int, m: int) -> Fraction:
     """N[n, m] by exact monomial expansion, n, m <= MAX_ORDER, independent of the closed forms.
 
-    Multiplies the integer coefficient vectors a of P_n(2x-1) and b of
-    P_m(2x-1) by Kronecker substitution: each is packed into one int, its
-    k-th coefficient the k-th digit in base 2**(8w), and the two ints are
-    multiplied once (squared, as one object, when n == m).  No coefficient
-    of the product exceeds sum|a| * sum|b| in magnitude, so w bytes with a
-    spare sign bit above that bound hold every one.  A vector is packed as
-    its positive part minus its negative part, each of nonnegative digits,
-    and a bias of 2**(8w-1) added to every digit of the product keeps each
-    digit in [0, 2**(8w)), so the n+m+1 coefficients are read back from
-    its bytes with no borrow between digits.  They are then integrated
-    against the log moments -1/(k+1)**2, k <= n+m, as one integer sum over
-    the common denominator big = lcm(1..n+m+1)**2, of which each moment is
-    the whole multiple -(big // (k+1)**2) / big.  At order 256 the packed
-    ints have about 332k bits each.
+    The coefficient of x**k in P_n(2x-1) has the sign (-1)**(n+k), so the
+    vectors a of P_n(2x-1) and b of P_m(2x-1) give a(x) b(x) =
+    (-1)**(n+m) C(-x), C = |a| * |b| of nonnegative coefficients.  C comes
+    from one Kronecker substitution: |a| and |b| are each packed into one
+    int as digits in base 2**(8w) and multiplied once (squared, as one
+    object, when n == m).  No coefficient of C exceeds sum|a| * sum|b|,
+    which w bytes hold, so its n+m+1 digits are read back from its bytes
+    with no carry between them.  The log moments -1/(k+1)**2 of x**k then
+    give N = (-1)**(n+m+1) sum_k (-1)**k C_k / (k+1)**2, one integer sum
+    over big = lcm(1..n+m+1)**2, of which each 1/(k+1)**2 is the whole
+    multiple big // (k+1)**2.  At order 256 the packed ints have about
+    332k bits each.
     """
     n = check_order(n, name="n")
     m = check_order(m, name="m")
@@ -99,21 +98,16 @@ def exact_entry_oracle(n: int, m: int) -> Fraction:
     packed_a = _packed(a, width)
     packed_b = packed_a if n == m else _packed(b, width)
     size = n + m + 1
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
-    digits = (packed_a * packed_b + bias).to_bytes(size * width, "little")
-    half = 1 << (8 * width - 1)
-    conv = [
-        int.from_bytes(digits[i : i + width], "little") - half for i in range(0, size * width, width)
-    ]
+    digits = (packed_a * packed_b).to_bytes(size * width, "little")
     big = math.lcm(*range(1, size + 1)) ** 2
-    return Fraction(-sum(c * (big // (k + 1) ** 2) for k, c in enumerate(conv)), big)
+    conv = [int.from_bytes(digits[i : i + width], "little") for i in range(0, size * width, width)]
+    total = sum((-1) ** k * c * (big // (k + 1) ** 2) for k, c in enumerate(conv))
+    return Fraction((-1) ** (n + m + 1) * total, big)
 
 
 def _packed(coeffs: tuple, width: int) -> int:
-    """sum(c_k * 2**(8 * width * k)): the vector as digits in base 2**(8 * width)."""
-    positive = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs)
-    negative = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in coeffs)
-    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+    """sum(|c_k| * 2**(8 * width * k)): the magnitudes as digits in base 2**(8 * width)."""
+    return int.from_bytes(b"".join(abs(c).to_bytes(width, "little") for c in coeffs), "little")
 
 
 @dataclass(frozen=True)
@@ -175,7 +169,8 @@ def _quad_kernel(span: int, rule: QuadratureRule | None = None):
     i < j.  ``None`` selects the smallest exact rule, span // 2 + 1 nodes;
     the callers' order cap MAX_ORDER keeps that within MAX_QUAD_DEGREE.
     Raises OrderLimitError, before any grid is built, when the rule is not
-    exact up to span.
+    exact up to span, then ValueError for a rule not from
+    ``gauss_legendre_rule``, which is not known to be exact.
     """
     degree = span // 2 + 1 if rule is None else rule.degree
     if span > 2 * degree - 1:
@@ -185,6 +180,8 @@ def _quad_kernel(span: int, rule: QuadratureRule | None = None):
         )
     if rule is None:
         rule = gauss_legendre_rule(degree)
+    elif rule is not gauss_legendre_rule(degree):
+        raise ValueError(f"rule must be gauss_legendre_rule({degree}), not a rule built by hand")
     x = 0.5 * (1.0 + rule.nodes)
     w = 0.5 * rule.weights
     i, j = np.triu_indices(degree)
@@ -243,23 +240,25 @@ def _exact_sums(n_max: int):
         (n+m+1) S[n, m] = big * [n == m] / (2n+1)
                           - sum_{k<n} (2k+1) S[k, m] - sum_{k<m} (2k+1) S[n, k].
 
-    The sweep runs over the upper triangle, row by row, keeping the first
-    sum per column; the second runs along the row from column n, where by
-    symmetry it equals the first.  The denominator of G[n, m] divides
-    lcm(1..n+m+1)**2, so S[n, m] is an integer and every division exact.
+    The sweep walks the lower triangle row by row, in the order the sums
+    are returned; the second sum, A, runs along the row and the first is
+    kept per column.  At m == n that column's sum is A by symmetry, so
+    (2n+1) S[n, n] = big / (2n+1) - 2A.  Every division is exact: the
+    denominator of G[n, m] divides lcm(1..n+m+1)**2.
     """
     big = math.lcm(*range(1, 2 * n_max + 2)) ** 2
     column = [0] * (n_max + 1)  # column[m] = sum_{k<n} (2k+1) S[k, m] before row n
-    upper = []  # upper[n][i] = S[n, n+i]
+    sums = []
     for n in range(n_max + 1):
-        along, row = column[n], []  # along = sum_{k<m} (2k+1) S[n, k]
-        for m in range(n, n_max + 1):
-            s = ((big // (2 * n + 1) if m == n else 0) - column[m] - along) // (n + m + 1)
-            row.append(s)
+        along = 0  # sum_{k<m} (2k+1) S[n, k]
+        for m in range(n):
+            s = -(column[m] + along) // (n + m + 1)
+            sums.append(s)
             along += (2 * m + 1) * s
             column[m] += (2 * n + 1) * s
-        upper.append(row)
-    return [upper[m][n - m] for n in range(n_max + 1) for m in range(n + 1)], big
+        sums.append((big // (2 * n + 1) - 2 * along) // (2 * n + 1))
+        column[n] = along + (2 * n + 1) * sums[-1]  # column n's sum was along, by symmetry
+    return sums, big
 
 
 @dataclass(frozen=True)
@@ -358,17 +357,18 @@ def verify_range(
     underflows that scale.  Both cap max_order at MAX_ORDER.  Failures
     are recorded in the report, never raised.
     The quad oracle takes the smallest exact rule, max_order + 1 nodes,
-    unless ``rule`` is given, and refuses only a rule too small for the
-    span (see ``_quad_kernel``), so default sweeps reach MAX_ORDER and a
-    failed pair means a wrong closed form.
+    unless ``rule`` is given, and refuses a rule too small for the span
+    or not from ``gauss_legendre_rule`` (see ``_quad_kernel``), so default
+    sweeps reach MAX_ORDER and a failed pair means a wrong closed form.
 
     The closed-form side is one Gram, ``gram_exact`` or ``gram_float``
     (the latter indexed as one array).  The exact oracle evaluates all
-    pairs by one integer recurrence from the x d/dx identity, which uses
-    neither the log moments nor the monomial expansion of
-    ``exact_entry_oracle`` (see ``_exact_sums``), the quad oracle
-    in one symmetric product per node chunk of its table (see
-    ``_quad_gram``).  Exact pairs are compared by cross-multiplication.
+    pairs by one integer sweep of the lower triangle, in report order,
+    from the x d/dx identity, which uses neither the log moments nor the
+    unsigned monomial product of ``exact_entry_oracle`` (see
+    ``_exact_sums``), the quad oracle in one symmetric product per node
+    chunk of its table (see ``_quad_gram``).  Exact pairs are compared
+    by cross-multiplication.
     With the same rule, the quad sweep sums in another order than
     ``quad_entry_oracle``, so the two agree to within a few ulps of
     |N| <= 1, not bit for bit; by default they also take rules of

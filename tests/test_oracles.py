@@ -222,6 +222,17 @@ def test_quad_table_is_bounded_before_anything_is_built(monkeypatch):
         quad_entry_oracle(257, 0)
 
 
+@pytest.mark.parametrize("degree", [3, 5])
+def test_quad_refuses_a_rule_built_by_hand(degree):
+    # three nodes that are no Gauss rule: trusted as exact, they would fail
+    # right closed forms (degree 3) or index past their grid (degree 5)
+    rule = oracles.QuadratureRule(degree, np.array([-0.5, 0.0, 0.5]), np.full(3, 2 / 3))
+    with pytest.raises(ValueError, match="rule must be gauss_legendre_rule"):
+        verify_range(2, "quad", rule=rule)
+    with pytest.raises(ValueError, match="rule must be gauss_legendre_rule"):
+        quad_entry_oracle(2, 1, rule)
+
+
 def test_quad_gram_in_node_chunks_is_the_one_chunk_gram(monkeypatch):
     # 2**10 cells split the 861 nodes of the 41-node rule into chunks of
     # 24: the chunk sums move the last bits only, and no verdict
@@ -444,11 +455,11 @@ def test_exact_sums_are_the_single_oracle(monkeypatch):
         raise AssertionError("the sweep built a coefficient vector")
 
     monkeypatch.setattr(oracles, "coeffs_exact", unreachable)
-    sums, big = oracles._exact_sums(40)
+    sums, big = oracles._exact_sums(64)
     monkeypatch.undo()
-    assert big == math.lcm(*range(1, 82)) ** 2
-    pairs = list(zip(*np.tril_indices(41)))
-    assert len(pairs) == len(sums) == 861
+    assert big == math.lcm(*range(1, 130)) ** 2
+    pairs = list(zip(*np.tril_indices(65)))
+    assert len(pairs) == len(sums) == 2145
     for (n, m), s in zip(pairs, sums):
         assert Fraction(-s, big) == exact_entry_oracle(int(n), int(m)), (n, m)
 
