@@ -4,8 +4,9 @@ Two oracles, sharing no formula with :mod:`loglegram.exactmoments`:
 
 * an exact symbolic one, up to MAX_ORDER, by two derivations tied
   together only by the tests: a pair integrates the monomial expansion of
-  P_n(2x-1) P_m(2x-1), one unsigned big-integer product, against the log
-  moments -1/(k+1)**2 of x**k as one integer sum; a sweep solves
+  P_n(2x-1) P_m(2x-1), from two unsigned big-integer products of half its
+  width, against the log moments -1/(k+1)**2 of x**k as one integer sum
+  per parity; a sweep solves
   mu(f + x f') = integral of f over [0, 1], mu(f) the integral of
   f(x) (-log x), on the products P_n P_m, with no moment and no
   coefficient vector;
@@ -42,6 +43,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -80,34 +82,52 @@ def exact_entry_oracle(n: int, m: int) -> Fraction:
 
     The coefficient of x**k in P_n(2x-1) has the sign (-1)**(n+k), so the
     vectors a of P_n(2x-1) and b of P_m(2x-1) give a(x) b(x) =
-    (-1)**(n+m) C(-x), C = |a| * |b| of nonnegative coefficients.  C comes
-    from one Kronecker substitution: |a| and |b| are each packed into one
-    int as digits in base 2**(8w) and multiplied once (squared, as one
-    object, when n == m).  No coefficient of C exceeds sum|a| * sum|b|,
-    which w bytes hold, so its n+m+1 digits are read back from its bytes
-    with no carry between them.  The log moments -1/(k+1)**2 of x**k then
-    give N = (-1)**(n+m+1) sum_k (-1)**k C_k / (k+1)**2, one integer sum
-    over big = lcm(1..n+m+1)**2, of which each 1/(k+1)**2 is the whole
-    multiple big // (k+1)**2.  At order 256 the packed ints have about
-    332k bits each.
+    (-1)**(n+m) C(-x), C = |a| * |b| of nonnegative coefficients.  No
+    coefficient of C exceeds sum|a| * sum|b|, which w bytes hold, so C is
+    read from its values at X and -X, X = 2**(4w), a two-point Kronecker
+    substitution (Harvey, J. Symbolic Comput. 44, 2009): the even- and the
+    odd-indexed |coefficients| of each vector are packed apart as digits in
+    base X**2, E and O, so that |a|(+-X) = E +- X O, and two products of
+    half the width give C(X) and C(-X) (two squares, each of one object,
+    when n == m).  Then (C(X) + C(-X)) / 2 holds the even C_k and
+    (C(X) - C(-X)) / (2X) the odd ones, each as its own w-byte digit with
+    no carry between them.  The log moments -1/(k+1)**2 of x**k then give
+    N = (-1)**(n+m+1) (sum_even - sum_odd) C_k / (k+1)**2, one integer sum
+    per parity over big = lcm(1..n+m+1)**2, of which each 1/(k+1)**2 is the
+    whole multiple big // (k+1)**2.  At order 256 each of the four packed
+    values has about 166k bits.
     """
     n = check_order(n, name="n")
     m = check_order(m, name="m")
     a, b = coeffs_exact(n).coeffs, coeffs_exact(m).coeffs
     width = (sum(map(abs, a)) * sum(map(abs, b))).bit_length() // 8 + 1
-    packed_a = _packed(a, width)
-    packed_b = packed_a if n == m else _packed(b, width)
+    plus_a, minus_a = _at_plus_minus(a, width)
+    plus_b, minus_b = (plus_a, minus_a) if n == m else _at_plus_minus(b, width)
+    at_plus, at_minus = plus_a * plus_b, minus_a * minus_b
     size = n + m + 1
-    digits = (packed_a * packed_b).to_bytes(size * width, "little")
     big = math.lcm(*range(1, size + 1)) ** 2
-    conv = [int.from_bytes(digits[i : i + width], "little") for i in range(0, size * width, width)]
-    total = sum((-1) ** k * c * (big // (k + 1) ** 2) for k, c in enumerate(conv))
+    moments = [big // (k + 1) ** 2 for k in range(size)]
+    even = _digits((at_plus + at_minus) >> 1, (size + 1) // 2, width)
+    odd = _digits((at_plus - at_minus) >> (4 * width + 1), size // 2, width)
+    total = sum(map(mul, even, moments[0::2])) - sum(map(mul, odd, moments[1::2]))
     return Fraction((-1) ** (n + m + 1) * total, big)
+
+
+def _at_plus_minus(coeffs: tuple, width: int) -> tuple[int, int]:
+    """(|c|(X), |c|(-X)), X = 2**(4 * width), from the even and odd |c_k| packed apart."""
+    even, odd = _packed(coeffs[0::2], width), _packed(coeffs[1::2], width) << 4 * width
+    return even + odd, even - odd
 
 
 def _packed(coeffs: tuple, width: int) -> int:
     """sum(|c_k| * 2**(8 * width * k)): the magnitudes as digits in base 2**(8 * width)."""
     return int.from_bytes(b"".join(abs(c).to_bytes(width, "little") for c in coeffs), "little")
+
+
+def _digits(value: int, count: int, width: int) -> list:
+    """The count digits of value in base 2**(8 * width), lowest first."""
+    data = value.to_bytes(count * width, "little")
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, count * width, width)]
 
 
 @dataclass(frozen=True)
@@ -166,7 +186,9 @@ def _quad_kernel(span: int, rule: QuadratureRule | None = None):
     N[n, m] ~ -sum((P_n(2y-1) s) (P_m(2y-1) s)), exact up to rounding for
     n + m <= span.  The rule, mapped to [0, 1] as nodes x_i and weights
     w_i, gives y = x_i x_j, i <= j, of weight W = w_i w_j, doubled for
-    i < j.  ``None`` selects the smallest exact rule, span // 2 + 1 nodes;
+    i < j, both read from the outer products through one mask i <= j, row
+    by row, the order of ``np.triu_indices``.  ``None`` selects the
+    smallest exact rule, span // 2 + 1 nodes;
     the callers' order cap MAX_ORDER keeps that within MAX_QUAD_DEGREE.
     Raises OrderLimitError, before any grid is built, when the rule is not
     exact up to span, then ValueError for a rule not from
@@ -184,10 +206,11 @@ def _quad_kernel(span: int, rule: QuadratureRule | None = None):
         raise ValueError(f"rule must be gauss_legendre_rule({degree}), not a rule built by hand")
     x = 0.5 * (1.0 + rule.nodes)
     w = 0.5 * rule.weights
-    i, j = np.triu_indices(degree)
-    weights = w[i] * w[j]
-    weights[i != j] *= 2
-    return x[i] * x[j], np.sqrt(weights)
+    index = np.arange(degree)
+    upper = index[:, None] <= index  # i <= j, read row by row
+    weights = 2 * np.outer(w, w)
+    np.fill_diagonal(weights, w * w)
+    return np.outer(x, x)[upper], np.sqrt(weights[upper])
 
 
 def quad_entry_oracle(n: int, m: int, rule: QuadratureRule | None = None) -> float:
@@ -361,14 +384,15 @@ def verify_range(
     or not from ``gauss_legendre_rule`` (see ``_quad_kernel``), so default
     sweeps reach MAX_ORDER and a failed pair means a wrong closed form.
 
-    The closed-form side is one Gram, ``gram_exact`` or ``gram_float``
-    (the latter indexed as one array).  The exact oracle evaluates all
-    pairs by one integer sweep of the lower triangle, in report order,
-    from the x d/dx identity, which uses neither the log moments nor the
-    unsigned monomial product of ``exact_entry_oracle`` (see
-    ``_exact_sums``), the quad oracle in one symmetric product per node
-    chunk of its table (see ``_quad_gram``).  Exact pairs are compared
-    by cross-multiplication.
+    The pairs are built row by row, in ``np.tril_indices`` order.  The
+    closed-form side is one Gram, ``gram_exact`` (its lower triangle read
+    by row slices) or ``gram_float`` (indexed as one array).  The exact
+    oracle evaluates all pairs by one integer sweep of the lower triangle,
+    in report order, from the x d/dx identity, which uses neither the log
+    moments nor the unsigned monomial products of ``exact_entry_oracle``
+    (see ``_exact_sums``), the quad oracle in one symmetric product per
+    node chunk of its table (see ``_quad_gram``).  Exact pairs are
+    compared by cross-multiplication.
     With the same rule, the quad sweep sums in another order than
     ``quad_entry_oracle``, so the two agree to within a few ulps of
     |N| <= 1, not bit for bit; by default they also take rules of
@@ -390,14 +414,17 @@ def verify_range(
         raise ValueError("rule applies to quad sweeps only")
     max_order = check_order(max_order, name="max_order")
 
-    rows, cols = np.tril_indices(max_order + 1)
+    # the pairs m <= n row by row: n repeated n + 1 times, m counting up from 0
+    rows = np.repeat(np.arange(max_order + 1), np.arange(1, max_order + 2))
+    cols = np.arange(rows.size) - rows * (rows + 1) // 2
 
     if mode == "exact":
         sums, big = _exact_sums(max_order)
-        pairs = zip(rows.tolist(), cols.tolist())
         if entry_fn is None:
-            entry_fn = exactmoments.gram_exact(max_order).at
-        closed = [entry_fn(n, m) for n, m in pairs]
+            entries = exactmoments.gram_exact(max_order).entries
+            closed = [p for n, row in enumerate(entries) for p in row[: n + 1]]
+        else:
+            closed = [entry_fn(n, m) for n, m in zip(rows.tolist(), cols.tolist())]
         # p/q == -S/big, cross-multiplied: no Fraction per pair
         passed = [p.numerator * big == -s * p.denominator for p, s in zip(closed, sums)]
         return VerificationReport(mode, max_order, rows, cols, np.array(passed, dtype=bool))

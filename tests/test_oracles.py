@@ -51,8 +51,11 @@ def test_exact_oracle_matches_fraction_term_sum():
 
     pairs = [(n, m) for n in range(25) for m in range(25)]
     pairs += [(64, m) for m in range(65)]
-    # the widest packed digits, and the squared product at n == m
+    # the widest packed digits and the squared products at n == m; the pairs
+    # at 128 and (255, 254) give even and odd digit counts in both halves
+    # of the two-point product
     pairs += [(MAX_ORDER, m) for m in (0, 1, MAX_ORDER - 1, MAX_ORDER)]
+    pairs += [(128, m) for m in range(0, 129, 7)] + [(128, 127), (128, 128), (255, 254)]
     for n, m in pairs:
         assert exact_entry_oracle(n, m) == term_sum(n, m), (n, m)
 
@@ -142,6 +145,27 @@ def test_import_leaves_numpy_polynomial_unloaded():
     assert result.stdout == "False True\n"
 
 
+def test_fold_and_pair_list_are_in_triangle_index_order():
+    # the fold is x_i x_j with its weight for i <= j, row by row, as the
+    # np.triu_indices construction gives it bit for bit; the report's pairs
+    # are those of np.tril_indices, in values, order and dtype
+    for degree in list(range(1, 41)) + [128, 257]:
+        rule = gauss_legendre_rule(degree)
+        x, w = 0.5 * (1.0 + rule.nodes), 0.5 * rule.weights
+        i, j = np.triu_indices(degree)
+        weights = w[i] * w[j]
+        weights[i != j] *= 2
+        y, s = oracles._quad_kernel(2 * degree - 1, rule)
+        assert y.tobytes() == (x[i] * x[j]).tobytes(), degree
+        assert s.tobytes() == np.sqrt(weights).tobytes(), degree
+    for max_order in list(range(41)) + [128]:
+        rows, cols = np.tril_indices(max_order + 1)
+        for mode in ("exact", "quad"):
+            report = verify_range(max_order, mode)
+            for got, want in ((report.n, rows), (report.m, cols)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (max_order, mode)
+
+
 def test_table_matches_scalar_evaluation():
     # the product-rule nodes the oracle evaluates on, and a geometric
     # sweep down to 2**-64
@@ -208,7 +232,7 @@ def test_quad_table_is_bounded_before_anything_is_built(monkeypatch):
     monkeypatch.setattr(oracles, "shifted_legendre_table", unreachable)
     monkeypatch.setattr(oracles, "recurrence_sweep", unreachable)
     monkeypatch.setattr(oracles, "_cached_rule", unreachable)
-    monkeypatch.setattr(np, "triu_indices", unreachable)  # the product grid
+    monkeypatch.setattr(np, "outer", unreachable)  # the product grid
     # a rule too small for the span
     with pytest.raises(OrderLimitError, match="exact only for n \\+ m <= 255"):
         quad_entry_oracle(128, 128, rule)
