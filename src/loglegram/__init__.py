@@ -14,14 +14,7 @@ from .analysis import (
     log_expansion_coeffs,
 )
 from .errors import OrderLimitError
-from .exactmoments import (
-    GramMatrix,
-    entry,
-    entry_diag,
-    entry_offdiag,
-    gram_exact,
-    gram_float,
-)
+from .exactmoments import GramMatrix, entry, gram_exact, gram_float
 from .legendre import MAX_ORDER, MonomialPoly, coeffs_exact
 from .oracles import (
     QuadratureRule,
@@ -46,8 +39,6 @@ __all__ = [
     "coeffs_exact",
     "diag_scaling_table",
     "entry",
-    "entry_diag",
-    "entry_offdiag",
     "exact_entry_oracle",
     "expansion_l2_error",
     "gauss_legendre_rule",

@@ -59,13 +59,14 @@ def bilinear_log_form(a, b, gram: GramMatrix):
     4,254 q's and takes about 6 ms).  Any other input makes it a float,
     summed by BLAS as a' (N b) over nonzero a_n from only the cells it
     reads: its last bits may move, within (len(a)+len(b)) eps sum |a_n b_m N_nm|.
-    A coefficient beyond the double range is refused there with ValueError.
+    A coefficient beyond the double range, or a vector that is not
+    one-dimensional, is refused there with ValueError.
     """
     a = list(a)
     b = list(b)
     if not a or not b:
         raise ValueError("coefficient vectors must have length >= 1")
-    if gram.nrows < max(len(a), len(b)):
+    if gram.order + 1 < max(len(a), len(b)):
         raise OrderLimitError(
             f"gram matrix of order {gram.order} is too small for coefficient "
             f"vectors of lengths {len(a)} and {len(b)}"
@@ -87,14 +88,16 @@ def bilinear_log_form(a, b, gram: GramMatrix):
     rows = gram.entries[: len(a)]  # an exact Gram is rounded only where the form reads it
     block = rows[:, : len(b)] if isinstance(rows, np.ndarray) else [r[: len(b)] for r in rows]
     try:
-        x = np.array(a, dtype=float)
-        # b's zeros add exact zeros to the row sums N b (|N| <= 1); a's zeros are
-        # skipped, since a row sum may overflow and 0 * inf would be nan
-        with np.errstate(all="ignore"):
-            row_sums = np.asarray(block, dtype=float) @ np.array(b, dtype=float)
-            return 0.0 + float(x[x != 0] @ row_sums[x != 0])  # +0.0 for a zero form
+        x, y = np.array(a, dtype=float), np.array(b, dtype=float)
     except OverflowError:  # an int or Fraction past the largest double
         raise ValueError("a coefficient is beyond the double range in a float form") from None
+    if x.ndim != 1 or y.ndim != 1:
+        raise ValueError(f"coefficient vectors must be 1-D, not of shapes {x.shape} and {y.shape}")
+    # b's zeros add exact zeros to the row sums N b (|N| <= 1); a's zeros are
+    # skipped, since a row sum may overflow and 0 * inf would be nan
+    with np.errstate(all="ignore"):
+        row_sums = np.asarray(block, dtype=float) @ y
+        return 0.0 + float(x[x != 0] @ row_sums[x != 0])  # +0.0 for a zero form
 
 
 def log_expansion_coeffs(order: int) -> list:

@@ -41,8 +41,6 @@ from .legendre import MAX_ORDER, check_order
 __all__ = [
     "GramMatrix",
     "entry",
-    "entry_diag",
-    "entry_offdiag",
     "gram_exact",
     "gram_float",
     "scaled_diagonal",
@@ -65,27 +63,9 @@ class GramMatrix:
     mode: str
     entries: list | np.ndarray
 
-    @property
-    def nrows(self) -> int:
-        return self.order + 1
-
-    def at(self, n: int, m: int):
-        return self.entries[n][m]
-
-
-def entry_offdiag(n: int, m: int, *, max_order=None) -> Fraction:
-    """N[n, m] for n != m: (-1)**(n+m+1) / (|n-m| (n+m+1)), reduced."""
-    n = check_order(n, max_order, name="n")
-    m = check_order(m, max_order, name="m")
-    if n == m:
-        raise ValueError(
-            f"entry_offdiag is undefined on the diagonal (n = m = {n}); use entry_diag"
-        )
-    return _offdiag(n, m)
-
 
 def _offdiag(n: int, m: int) -> Fraction:
-    """The off-diagonal closed form for validated indices n != m."""
+    """N[n, m] for validated indices n != m: (-1)**(n+m+1) / (|n-m| (n+m+1)), reduced."""
     sign = 1 if (n + m) % 2 else -1
     return Fraction(sign, abs(n - m) * (n + m + 1))
 
@@ -212,16 +192,6 @@ _float_diagonal = _Store(np.empty((0, 2)), _rounded)
 _float_gram = _Store(np.empty((0, 0)), lambda old, size: _read_only(_float_values(size)))
 
 
-def entry_diag(n: int, *, max_order=None) -> Fraction:
-    """N[n, n] from the closed sum, as a reduced fraction.
-
-    It is summed by ``_split_diagonal`` in the harmonic form, which needs
-    no other diagonal value, so no exact diagonal is kept for it.
-    """
-    n = check_order(n, max_order, name="n")
-    return _split_diagonal(n)
-
-
 def _split_diagonal(n: int) -> Fraction:
     """N[n, n] from (2n+1) N[n, n] = -2 (H_2n - H_n) - 1/(2n+1).
 
@@ -246,13 +216,14 @@ def _reciprocal_sum(a: int, b: int) -> tuple:
 
 
 def entry(n: int, m: int, *, max_order=None) -> Fraction:
-    """N[n, m] for any index pair.
+    """N[n, m] for any index pair, as a reduced fraction.
 
     Dispatches to the diagonal closed sum when n = m (where the
     off-diagonal formula would divide by zero) and to the off-diagonal
     closed form otherwise; N[n, m] = N[m, n] makes the order of the
-    arguments immaterial.  Both indices are validated before they are
-    compared, each once.
+    arguments immaterial.  ``_split_diagonal`` sums the diagonal from no
+    other diagonal value, so no exact diagonal is kept for it.  Both
+    indices are validated before they are compared, each once.
     """
     n = check_order(n, max_order, name="n")
     m = check_order(m, max_order, name="m")

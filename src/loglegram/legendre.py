@@ -33,11 +33,11 @@ from .errors import OrderLimitError
 #: of the exact oracle's sweep, over L = lcm(1..2M+1)**2 (1,486 bits at
 #: 256), built per call and not kept; the single-pair exact oracle, whose
 #: ``coeffs_exact`` vectors grow like (3 + 2*sqrt(2))**n ~ 5.83**n (647
-#: bits summed at 256) and which packs two of them into ints of about
-#: 332k bits each at 256, one digit of 162 bytes per coefficient; and
-#: ``oracles.MAX_QUAD_DEGREE``, M + 1.
-#: Only the closed forms (``entry``, ``entry_diag``, ``entry_offdiag``,
-#: ``gram_exact``, ``gram_float``) take a per-call ``max_order``.
+#: bits summed at 256) and which packs four values, |a|(+-X) and
+#: |b|(+-X), of 166,396 bits each at 256, one digit of 162 bytes per
+#: coefficient; and ``oracles.MAX_QUAD_DEGREE``, M + 1.
+#: Only the closed forms (``entry``, ``gram_exact``, ``gram_float``) take
+#: a per-call ``max_order``.
 MAX_ORDER = 256
 
 __all__ = [
@@ -84,15 +84,11 @@ class MonomialPoly:
     """Exact monomial-basis coefficients of P_n(2x-1) on [0, 1].
 
     ``coeffs[k]`` is the integer coefficient of x**k; the length is
-    degree + 1.  Since P_n(1) = 1 and P_n(-1) = (-1)**n, the coefficients
-    always sum to 1 and the constant term is (-1)**degree.
+    n + 1.  Since P_n(1) = 1 and P_n(-1) = (-1)**n, the coefficients
+    always sum to 1 and the constant term is (-1)**n.
     """
 
     coeffs: tuple
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def recurrence_sweep(n_max, x):

@@ -99,10 +99,11 @@ def exact_entry_oracle(n: int, m: int) -> Fraction:
     """
     n = check_order(n, name="n")
     m = check_order(m, name="m")
-    a, b = coeffs_exact(n).coeffs, coeffs_exact(m).coeffs
-    width = (sum(map(abs, a)) * sum(map(abs, b))).bit_length() // 8 + 1
-    plus_a, minus_a = _at_plus_minus(a, width)
-    plus_b, minus_b = (plus_a, minus_a) if n == m else _at_plus_minus(b, width)
+    vectors = {k: coeffs_exact(k).coeffs for k in (n, m)}  # one vector when n == m
+    norms = {k: sum(map(abs, c)) for k, c in vectors.items()}
+    width = (norms[n] * norms[m]).bit_length() // 8 + 1
+    packed = {k: _at_plus_minus(c, width) for k, c in vectors.items()}
+    (plus_a, minus_a), (plus_b, minus_b) = packed[n], packed[m]
     at_plus, at_minus = plus_a * plus_b, minus_a * minus_b
     size = n + m + 1
     big = math.lcm(*range(1, size + 1)) ** 2
@@ -171,9 +172,12 @@ def _cached_rule(degree: int) -> QuadratureRule:
 
 
 def shifted_legendre_table(x: np.ndarray, n_max: int) -> np.ndarray:
-    """Vectorized recurrence table: row n holds P_n(2x-1) at every x, n <= MAX_ORDER."""
+    """Vectorized recurrence table: row n holds P_n(2x-1) at every x, n <= MAX_ORDER.
+
+    ``x`` of any shape is read as its flattened values, one column each.
+    """
     n_max = check_order(n_max, name="n_max")
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64).ravel()
     table = np.empty((n_max + 1, x.size))
     for row, values in zip(table, recurrence_sweep(n_max, x)):
         row[:] = values
@@ -399,10 +403,11 @@ def verify_range(
     different sizes.  The report holds the per-pair results as arrays and
     builds ``PairCheck`` objects only when asked.
 
-    ``entry_fn`` substitutes the closed-form side, pair by pair, which is
-    the hook the test suite uses to inject a perturbed entry and watch
-    the sweep fail; in exact mode it must return rationals
-    (``numerator``/``denominator``).
+    ``entry_fn`` substitutes the closed-form side, called once per pair
+    in report order before either oracle runs, which is the hook the test
+    suite uses to inject a perturbed entry and watch the sweep fail; in
+    exact mode it must return rationals (``numerator``/``denominator``),
+    and in quad mode its values are rounded as ``float`` rounds them.
     """
     # Imported here so the oracle paths above stay import-independent of
     # the module they are meant to check.
@@ -418,13 +423,13 @@ def verify_range(
     rows = np.repeat(np.arange(max_order + 1), np.arange(1, max_order + 2))
     cols = np.arange(rows.size) - rows * (rows + 1) // 2
 
+    if entry_fn is not None:
+        closed = [entry_fn(n, m) for n, m in zip(rows.tolist(), cols.tolist())]
     if mode == "exact":
         sums, big = _exact_sums(max_order)
         if entry_fn is None:
             entries = exactmoments.gram_exact(max_order).entries
             closed = [p for n, row in enumerate(entries) for p in row[: n + 1]]
-        else:
-            closed = [entry_fn(n, m) for n, m in zip(rows.tolist(), cols.tolist())]
         # p/q == -S/big, cross-multiplied: no Fraction per pair
         passed = [p.numerator * big == -s * p.denominator for p, s in zip(closed, sums)]
         return VerificationReport(mode, max_order, rows, cols, np.array(passed, dtype=bool))
@@ -434,8 +439,7 @@ def verify_range(
     if entry_fn is None:
         reference = exactmoments.gram_float(max_order).entries[rows, cols]
     else:
-        pairs = zip(rows.tolist(), cols.tolist())
-        reference = np.array([float(entry_fn(n, m)) for n, m in pairs])
+        reference = np.array(closed, dtype=float)
     # elementwise IEEE arithmetic rounds as the same Python float operations would
     with np.errstate(all="ignore"):
         abs_err = np.abs(approx - reference)

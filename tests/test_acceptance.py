@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from loglegram import cli, exactmoments, oracles
 from loglegram.analysis import expansion_l2_error
-from loglegram.exactmoments import entry, entry_diag
+from loglegram.exactmoments import entry
 from loglegram.legendre import coeffs_exact
 from loglegram.oracles import exact_entry_oracle, verify_range
 
@@ -53,7 +53,7 @@ def test_criterion_2_point_values():
 
 def test_criterion_3_diagonal_recurrence_consistency():
     ok = all(
-        (2 * n + 1) * entry_diag(n) - (2 * n - 1) * entry_diag(n - 1)
+        (2 * n + 1) * entry(n, n) - (2 * n - 1) * entry(n - 1, n - 1)
         == -2 * Fraction(1, (2 * n - 1) * 2 * n * (2 * n + 1))
         for n in range(1, 129)
     )
@@ -131,7 +131,7 @@ def test_criterion_6_expansion_sanity():
 
 
 def test_criterion_7_diagonal_asymptote():
-    scaled = float((2 * 1000 + 1) * entry_diag(1000, max_order=1000))
+    scaled = float((2 * 1000 + 1) * entry(1000, 1000, max_order=1000))
     deviation = abs(scaled + 2 * math.log(2))
     _report(
         "7 scaled diagonal at order 1000 within 1e-6 of -2 log 2",

@@ -12,7 +12,7 @@ from loglegram.analysis import (
     log_expansion_coeffs,
 )
 from loglegram.errors import OrderLimitError
-from loglegram.exactmoments import GramMatrix, entry, entry_diag, gram_exact, gram_float
+from loglegram.exactmoments import GramMatrix, entry, gram_exact, gram_float
 from loglegram.oracles import gauss_legendre_rule, shifted_legendre_table
 
 
@@ -316,6 +316,12 @@ def test_bilinear_rejects_undersized_gram():
         bilinear_log_form([1, 2, 3], [1], gram)
     with pytest.raises(ValueError):
         bilinear_log_form([], [1], gram)
+    # a matrix is not a coefficient vector, as a list or an array, on either side
+    for bad in ([[1, 2], [3, 4]], np.ones((2, 2)), [[0.5], [1]]):
+        for build in (gram_exact, gram_float):
+            for a, b in ((bad, [1, 1]), ([1, 1], bad)):
+                with pytest.raises(ValueError, match="coefficient vectors must be 1-D"):
+                    bilinear_log_form(a, b, build(1))
 
 
 def test_l2_error_matches_telescoped_tail():
@@ -370,7 +376,7 @@ def test_diag_scaling_table_values():
     assert table[1] == (1, float(Fraction(-4, 3)))
     assert table[2] == (2, float(Fraction(-41, 30)))
     for n, value in table:
-        assert value == float((2 * n + 1) * entry_diag(n))
+        assert value == float((2 * n + 1) * entry(n, n))
 
 
 def test_diag_scaling_table_is_decreasing_and_bounded():

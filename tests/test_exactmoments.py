@@ -15,8 +15,6 @@ from loglegram.errors import OrderLimitError
 from loglegram.exactmoments import (
     _Store,
     entry,
-    entry_diag,
-    entry_offdiag,
     gram_exact,
     gram_float,
     scaled_diagonal,
@@ -41,13 +39,13 @@ DIAG_CASES = [
 
 @pytest.mark.parametrize("n,m,expected", OFFDIAG_CASES)
 def test_offdiagonal_values(n, m, expected):
-    assert entry_offdiag(n, m) == expected
-    assert entry_offdiag(m, n) == expected
+    assert entry(n, m) == expected
+    assert entry(m, n) == expected
 
 
 @pytest.mark.parametrize("n,expected", DIAG_CASES)
 def test_diagonal_values(n, expected):
-    assert entry_diag(n) == expected
+    assert entry(n, n) == expected
 
 
 def test_entry_dispatch():
@@ -56,16 +54,11 @@ def test_entry_dispatch():
     assert entry(1, 1) == Fraction(-4, 9)
 
 
-def test_offdiag_rejects_diagonal():
-    with pytest.raises(ValueError, match="entry_diag"):
-        entry_offdiag(3, 3)
-
-
 def test_order_bounds():
     with pytest.raises(OrderLimitError):
         entry(300, 0)
     with pytest.raises(OrderLimitError):
-        entry_diag(300)
+        entry(300, 300)
     assert entry(300, 0, max_order=300) == Fraction(-1, 300 * 301)
 
 
@@ -104,14 +97,14 @@ def test_gram_incremental_diagonal_matches_fresh_summation():
             (Fraction(1, (2 * j - 1) * 2 * j * (2 * j + 1)) for j in range(1, n + 1)),
             Fraction(0),
         )
-        assert gram.entries[n][n] == entry_diag(n) == fresh / (2 * n + 1)
+        assert gram.entries[n][n] == entry(n, n) == fresh / (2 * n + 1)
 
 
 def test_gram_matches_single_entries():
     gram = gram_exact(12)
     assert gram.order == 12
     assert gram.mode == "exact"
-    assert gram.nrows == 13
+    assert len(gram.entries) == 13
     for n in range(13):
         for m in range(13):
             assert gram.entries[n][m] == entry(n, m)
@@ -173,8 +166,8 @@ def test_gram_float_memory_stays_below_a_fraction_matrix():
 def test_gram_float_point_values():
     assert gram_float(0).entries.tolist() == [[-1.0]]
     gram = gram_float(2)
-    assert gram.at(1, 0) == 0.5
-    assert gram.at(2, 2) == -0.2733333333333333
+    assert gram.entries[1][0] == 0.5
+    assert gram.entries[2][2] == -0.2733333333333333
 
 
 def test_float_conversion_rounds_correctly():
@@ -196,7 +189,7 @@ def test_float_conversion_rounds_correctly():
 def test_scaled_diagonal_is_decreasing_with_known_limit():
     prev = None
     for n in range(129):
-        scaled = (2 * n + 1) * entry_diag(n)
+        scaled = (2 * n + 1) * entry(n, n)
         if prev is not None:
             assert scaled < prev
         if n >= 4:
@@ -219,7 +212,7 @@ def test_harmonic_and_partial_fraction_forms_hold_exactly():
         harmonic.append(harmonic[-1] + Fraction(1, k))
     for n in range(MAX_ORDER + 1):
         expected = -2 * (harmonic[2 * n] - harmonic[n]) - Fraction(1, 2 * n + 1)
-        assert (2 * n + 1) * entry_diag(n) == expected, n
+        assert (2 * n + 1) * entry(n, n) == expected, n
     for n in range(65):
         for m in range(65):
             if n != m:
@@ -237,12 +230,12 @@ def _fresh_sums(n_max):
 
 
 def test_diagonal_by_binary_splitting_is_the_running_sum():
-    # entry_diag sums H_2n - H_n by splitting at every order, from no store
+    # entry sums H_2n - H_n by splitting at every order, from no store
     fresh = _fresh_sums(3000)
     for n in range(MAX_ORDER + 1):
         assert exactmoments._split_diagonal(n) == fresh[n] / (2 * n + 1), n
     for n in (257, 300, 511, 1024, 3000):
-        assert entry_diag(n, max_order=n) == fresh[n] / (2 * n + 1), n
+        assert entry(n, n, max_order=n) == fresh[n] / (2 * n + 1), n
 
 
 @pytest.fixture(scope="module")
@@ -284,7 +277,7 @@ def test_gram_exact_over_shuffled_sizes_matches_single_entries(reference, empty_
     random.Random(16).shuffle(sizes)
     for size in sizes:
         gram = gram_exact(size)
-        assert (gram.order, gram.nrows) == (size, size + 1)
+        assert (gram.order, len(gram.entries)) == (size, size + 1)
         assert gram.entries == _block(reference, size), size
         assert all(type(v) is Fraction for row in gram.entries for v in row)
 
@@ -370,7 +363,7 @@ def test_concurrent_diagonal_reads_see_whole_sums(empty_store, in_four_threads):
 
     def build(i, k):
         size = (37 * i + 53 * k) % (MAX_ORDER + 1)
-        return size, (entry_diag(size), diag_scaling_table(size))
+        return size, (entry(size, size), diag_scaling_table(size))
 
     for size, (diagonal, table) in in_four_threads(build):
         assert diagonal == fresh[size] / (2 * size + 1), size
@@ -395,7 +388,7 @@ def test_gram_float_over_sizes_out_of_order_matches_rounded_exact(float_referenc
 
 
 def test_float_diagonal_store_is_read_only_and_not_shared(empty_store):
-    expected = [float(entry_diag(n)) for n in range(41)]
+    expected = [float(entry(n, n)) for n in range(41)]
     rounded = np.array([[float(entry(n, m)) for m in range(41)] for n in range(41)])
     for size in (20, 5, 40):
         gram = gram_float(size)

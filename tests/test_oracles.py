@@ -176,6 +176,17 @@ def test_table_matches_scalar_evaluation():
         assert table[:, j].tolist() == list(recurrence_sweep(24, float(xj)))
 
 
+def test_table_reads_x_of_any_shape_as_its_flattened_values():
+    x = np.linspace(0.0, 1.0, 12)
+    flat = shifted_legendre_table(x, 9)
+    assert flat.tobytes() == np.array(list(recurrence_sweep(9, x))).tobytes()
+    for shape in ((2, 6), (3, 2, 2), (12, 1)):
+        table = shifted_legendre_table(x.reshape(shape), 9)
+        assert table.shape == (10, 12) and table.tobytes() == flat.tobytes(), shape
+    half = shifted_legendre_table(np.full((2, 3), 0.5), 2)
+    assert half.tolist() == [[1.0] * 6, [0.0] * 6, [-0.5] * 6]
+
+
 def test_table_refuses_orders_past_max_order_before_allocating():
     x = np.linspace(0.0, 1.0, 4)
     assert shifted_legendre_table(x, MAX_ORDER).shape == (MAX_ORDER + 1, 4)
@@ -193,7 +204,7 @@ def test_table_refuses_orders_past_max_order_before_allocating():
 def test_quad_oracle_point_values():
     assert quad_entry_oracle(0, 0) == pytest.approx(-1.0, abs=1e-12)
     assert quad_entry_oracle(2, 1) == pytest.approx(0.25, abs=1e-12)
-    exact = float(exactmoments.entry_diag(10))
+    exact = float(exactmoments.entry(10, 10))
     assert quad_entry_oracle(10, 10) == pytest.approx(exact, rel=1e-11)
 
 
@@ -523,7 +534,7 @@ def test_exact_sweep_localises_a_tiny_fault(cell):
     gram = exactmoments.gram_exact(MAX_ORDER)
 
     def perturbed(n, m):
-        value = gram.at(n, m)
+        value = gram.entries[n][m]
         return value * (1 + Fraction(1, 2**1000)) if (n, m) == cell else value
 
     report = verify_range(MAX_ORDER, "exact", entry_fn=perturbed)
@@ -612,3 +623,21 @@ def test_every_exported_name_resolves():
         exported = getattr(module, "__all__", ())
         missing += [f"{name}.{attr}" for attr in exported if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_every_imported_name_is_used():
+    # a deletion must not leave a dead import behind; a name in __all__ counts as used
+    package = pathlib.Path(oracles.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        name = "loglegram" if path.stem == "__init__" else f"loglegram.{path.stem}"
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(getattr(importlib.import_module(name), "__all__", ()))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unused += [f"{path.name}:{node.lineno} {b}" for b in bound if b not in used]
+    assert unused == []

@@ -36,8 +36,8 @@ def test_every_upper_case_name_resolves():
 # (the call as written in the Library block, its stated value, that value)
 LIBRARY = [
     ("lg.entry(2, 1)", "Fraction(1, 4)", Fraction(1, 4)),
-    ("lg.entry_diag(2)", "Fraction(-41, 150)", Fraction(-41, 150)),
-    ("lg.gram_float(2).at(2, 2)", "-0.2733333333333333", -0.2733333333333333),
+    ("lg.entry(2, 2)", "Fraction(-41, 150)", Fraction(-41, 150)),
+    ("lg.gram_float(2).entries[2, 2]", "-0.2733333333333333", -0.2733333333333333),
     ("lg.bilinear_log_form([1, 1], [1, 1], lg.gram_exact(1))", "Fraction(-4, 9)", Fraction(-4, 9)),
     ("lg.log_expansion_coeffs(2)", "[-1, 3/2, -5/6]", [-1, Fraction(3, 2), Fraction(-5, 6)]),
     ("lg.expansion_l2_error(8).l2_error", "exactly 1/9", 1 / 9),
