@@ -9,6 +9,7 @@ module reads them from its float diagonal store.
 
 from __future__ import annotations
 
+import array
 import math
 import numbers
 from dataclasses import dataclass
@@ -59,8 +60,9 @@ def bilinear_log_form(a, b, gram: GramMatrix):
     4,254 q's and takes about 6 ms).  Any other input makes it a float,
     summed by BLAS as a' (N b) over nonzero a_n from only the cells it
     reads: its last bits may move, within (len(a)+len(b)) eps sum |a_n b_m N_nm|.
-    A coefficient beyond the double range, or a vector that is not
-    one-dimensional, is refused there with ValueError.
+    There each coefficient is read as a C double, so one that is not a
+    real number (None, a string, a sequence such as a matrix row) or is
+    beyond the double range is refused with ValueError.
     """
     a = list(a)
     b = list(b)
@@ -87,12 +89,12 @@ def bilinear_log_form(a, b, gram: GramMatrix):
         return Fraction(sum(s * (common // q) for q, s in sums.items()), common * da * db)
     rows = gram.entries[: len(a)]  # an exact Gram is rounded only where the form reads it
     block = rows[:, : len(b)] if isinstance(rows, np.ndarray) else [r[: len(b)] for r in rows]
-    try:
-        x, y = np.array(a, dtype=float), np.array(b, dtype=float)
+    try:  # array takes numbers only, where numpy would read None as nan and parse strings
+        x, y = np.frombuffer(array.array("d", a)), np.frombuffer(array.array("d", b))
     except OverflowError:  # an int or Fraction past the largest double
         raise ValueError("a coefficient is beyond the double range in a float form") from None
-    if x.ndim != 1 or y.ndim != 1:
-        raise ValueError(f"coefficient vectors must be 1-D, not of shapes {x.shape} and {y.shape}")
+    except TypeError as exc:  # None, a string, bytes or a sequence
+        raise ValueError(f"coefficient vectors must be 1-D, of real numbers: {exc}") from None
     # b's zeros add exact zeros to the row sums N b (|N| <= 1); a's zeros are
     # skipped, since a row sum may overflow and 0 * inf would be nan
     with np.errstate(all="ignore"):

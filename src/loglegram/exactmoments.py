@@ -7,9 +7,11 @@ The target quantities are
 Off the diagonal the value is (-1)**(n+m+1) / (|n-m| (n+m+1)); on the
 diagonal, (2n+1) N[n, n] = -1 - 2 * sum_{j=1..n} 1/((2j-1) 2j (2j+1)),
 which equals -2 (H_2n - H_n) - 1/(2n+1) with H_k = sum_{j<=k} 1/j.
-Both are evaluated in exact rational arithmetic; the floating variants
-are correctly rounded from the exact values.  An off-diagonal entry is
-+-1 over an integer below 2**53, and IEEE division of two exactly
+One generator derives the diagonal: the harmonic form at the first index
+asked for, the running sum at each one after it.  Both closed forms are
+evaluated in exact rational arithmetic; the floating variants are
+correctly rounded from the exact values.  An off-diagonal entry is +-1
+over an integer below 2**53, and IEEE division of two exactly
 representable integers is correctly rounded, so the float Gram divides
 in numpy and needs rational arithmetic only for its diagonal.
 
@@ -29,7 +31,6 @@ store's cap is built from its current table and not kept.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +44,6 @@ __all__ = [
     "entry",
     "gram_exact",
     "gram_float",
-    "scaled_diagonal",
 ]
 
 
@@ -70,21 +70,34 @@ def _offdiag(n: int, m: int) -> Fraction:
     return Fraction(sign, abs(n - m) * (n + m + 1))
 
 
-def scaled_diagonal(n_max: int):
-    """Yield (2n+1) N[n, n] for n = 0..n_max as exact running sums.
+def _scaled_diagonal(lo: int, hi: int):
+    """Yield (2n+1) N[n, n] for n = lo..hi, lo <= hi, exactly.
 
-    The n-th value is -1 - 2 * sum_{j=1..n} 1/((2j-1) 2j (2j+1)), so
-    each step costs one summand, subtracted doubled as 1/((2j-1) j (2j+1)).
-    No sum is stored: the exact row store and the float diagonal store
-    read it when they grow, and ``gram_exact`` past the rows' cap, each
-    time from n = 0.  The order is not validated here.
+    The first value is -2 (H_2lo - H_lo) - 1/(2lo+1).  H_2lo - H_lo, the
+    sum of 1/k over lo < k <= 2lo, is summed as one unreduced p/q by
+    binary splitting (Haible and Papanikolaou, ANTS 1998), so the one gcd
+    is the reduction of -(2p (2lo+1) + q) / (q (2lo+1)).  Each later value
+    is the running sum -1 - 2 sum_{j<=n} 1/((2j-1) 2j (2j+1)), one
+    summand on, subtracted doubled as 1/((2n+1) (n+1) (2n+3)).  So a store
+    that grows computes only its new values, and ``entry`` only one.  The
+    indices are not validated here.
     """
-    running = Fraction(-1)
-    if n_max >= 0:
-        yield running
-    for j in range(1, n_max + 1):
-        running -= Fraction(1, (2 * j - 1) * j * (2 * j + 1))
-        yield running
+    p, q = _reciprocal_sum(lo + 1, 2 * lo + 1)
+    scaled = Fraction(-(2 * p * (2 * lo + 1) + q), q * (2 * lo + 1))
+    yield scaled
+    for n in range(lo, hi):
+        scaled -= Fraction(1, (2 * n + 1) * (n + 1) * (2 * n + 3))
+        yield scaled
+
+
+def _reciprocal_sum(a: int, b: int) -> tuple:
+    """(p, q) with p/q the sum of 1/k over a <= k < b, 0 < a <= b, unreduced."""
+    if b - a < 2:  # an empty or one-term range
+        return b - a, a
+    mid = (a + b) // 2
+    p1, q1 = _reciprocal_sum(a, mid)
+    p2, q2 = _reciprocal_sum(mid, b)
+    return p1 * q2 + p2 * q1, q1 * q2
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -96,14 +109,14 @@ def _rounded(diagonal: np.ndarray, size: int) -> np.ndarray:
     """``diagonal`` extended to n = 0..size, read-only.
 
     Row n holds float(N[n, n]) and float(s), s = (2n+1) N[n, n]; only the
-    new rows are rounded, from one pass over the exact sums.  The first is
-    the one int division s.numerator / (s.denominator * (2n+1)): Python's
-    int true division is correctly rounded, and it is the division
-    ``Fraction.__float__`` performs, so the bits are those of
+    new rows are rounded, from the exact sums of those rows alone.  The
+    first is the one int division s.numerator / (s.denominator * (2n+1)):
+    Python's int true division is correctly rounded, and it is the
+    division ``Fraction.__float__`` performs, so the bits are those of
     float(Fraction) with no reduced ``Fraction`` formed.
     """
     old = len(diagonal)
-    sums = list(itertools.islice(scaled_diagonal(size), old, None))
+    sums = list(_scaled_diagonal(old, size))
     entries = [s.numerator / (s.denominator * (2 * n + 1)) for n, s in enumerate(sums, old)]
     # two lists: a list of pairs would leave its tuples on the interpreter's free list
     new = np.transpose([entries, [float(s) for s in sums]])
@@ -154,8 +167,7 @@ def _grown(rows: list, size: int) -> list:
     """
     old = len(rows)
     grown = [row + [_offdiag(n, m) for m in range(old, size + 1)] for n, row in enumerate(rows)]
-    diagonal = itertools.islice(scaled_diagonal(size), old, None)
-    for n, scaled in zip(range(old, size + 1), diagonal):
+    for n, scaled in enumerate(_scaled_diagonal(old, size), old):
         row = [above[n] for above in grown]
         row.append(scaled / (2 * n + 1))
         row.extend(_offdiag(n, m) for m in range(n + 1, size + 1))
@@ -192,42 +204,20 @@ _float_diagonal = _Store(np.empty((0, 2)), _rounded)
 _float_gram = _Store(np.empty((0, 0)), lambda old, size: _read_only(_float_values(size)))
 
 
-def _split_diagonal(n: int) -> Fraction:
-    """N[n, n] from (2n+1) N[n, n] = -2 (H_2n - H_n) - 1/(2n+1).
-
-    H_2n - H_n, the sum of 1/k over n < k <= 2n, is summed as one
-    unreduced p/q by binary splitting (Haible and Papanikolaou, ANTS 1998),
-    so the one gcd is the final reduction of
-    N[n, n] = -(2p (2n+1) + q) / (q (2n+1)**2).
-    """
-    p, q = _reciprocal_sum(n + 1, 2 * n + 1)
-    odd = 2 * n + 1
-    return Fraction(-(2 * p * odd + q), q * odd * odd)
-
-
-def _reciprocal_sum(a: int, b: int) -> tuple:
-    """(p, q) with p/q the sum of 1/k over a <= k < b, 0 < a <= b, unreduced."""
-    if b - a < 2:  # an empty or one-term range
-        return b - a, a
-    mid = (a + b) // 2
-    p1, q1 = _reciprocal_sum(a, mid)
-    p2, q2 = _reciprocal_sum(mid, b)
-    return p1 * q2 + p2 * q1, q1 * q2
-
-
 def entry(n: int, m: int, *, max_order=None) -> Fraction:
     """N[n, m] for any index pair, as a reduced fraction.
 
     Dispatches to the diagonal closed sum when n = m (where the
     off-diagonal formula would divide by zero) and to the off-diagonal
     closed form otherwise; N[n, m] = N[m, n] makes the order of the
-    arguments immaterial.  ``_split_diagonal`` sums the diagonal from no
-    other diagonal value, so no exact diagonal is kept for it.  Both
-    indices are validated before they are compared, each once.
+    arguments immaterial.  The diagonal is the first value of
+    ``_scaled_diagonal`` from n, summed from no other diagonal value, so
+    no exact diagonal is kept for it.  Both indices are validated before
+    they are compared, each once.
     """
     n = check_order(n, max_order, name="n")
     m = check_order(m, max_order, name="m")
-    return _split_diagonal(n) if n == m else _offdiag(n, m)
+    return next(_scaled_diagonal(n, n)) / (2 * n + 1) if n == m else _offdiag(n, m)
 
 
 def gram_exact(size: int, *, max_order=None) -> GramMatrix:

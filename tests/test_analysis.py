@@ -316,8 +316,10 @@ def test_bilinear_rejects_undersized_gram():
         bilinear_log_form([1, 2, 3], [1], gram)
     with pytest.raises(ValueError):
         bilinear_log_form([], [1], gram)
-    # a matrix is not a coefficient vector, as a list or an array, on either side
-    for bad in ([[1, 2], [3, 4]], np.ones((2, 2)), [[0.5], [1]]):
+    # a matrix is not a coefficient vector, as a list or an array, on either side,
+    # nor is a ragged list; None, a string and bytes are no coefficients, where
+    # numpy would read them as nan, 1.5 and 2.0
+    for bad in ([[1, 2], [3, 4]], np.ones((2, 2)), [[0.5], [1]], [[1, 2], 3], [None], ["1.5"], [b"2"]):
         for build in (gram_exact, gram_float):
             for a, b in ((bad, [1, 1]), ([1, 1], bad)):
                 with pytest.raises(ValueError, match="coefficient vectors must be 1-D"):

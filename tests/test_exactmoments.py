@@ -17,7 +17,6 @@ from loglegram.exactmoments import (
     entry,
     gram_exact,
     gram_float,
-    scaled_diagonal,
 )
 from loglegram.legendre import MAX_ORDER
 
@@ -233,9 +232,18 @@ def test_diagonal_by_binary_splitting_is_the_running_sum():
     # entry sums H_2n - H_n by splitting at every order, from no store
     fresh = _fresh_sums(3000)
     for n in range(MAX_ORDER + 1):
-        assert exactmoments._split_diagonal(n) == fresh[n] / (2 * n + 1), n
+        assert entry(n, n) == fresh[n] / (2 * n + 1), n
     for n in (257, 300, 511, 1024, 3000):
         assert entry(n, n, max_order=n) == fresh[n] / (2 * n + 1), n
+
+
+@pytest.mark.parametrize("lo", [0, 1, 256, 257, 1000])
+def test_scaled_diagonal_from_any_start_is_the_running_sum(lo):
+    # a store grows from its length: the first value is the harmonic form
+    # at lo, each later one a running-sum step from it
+    fresh = _fresh_sums(lo + 40)
+    for hi in (lo, lo + 1, lo + 40):
+        assert list(exactmoments._scaled_diagonal(lo, hi)) == fresh[lo : hi + 1], hi
 
 
 @pytest.fixture(scope="module")
@@ -311,7 +319,7 @@ def test_gram_past_max_order_is_not_retained(reference):
         for n, row in enumerate(reference)
     ]
     fresh = _fresh_sums(300)
-    assert list(scaled_diagonal(300)) == fresh
+    assert list(exactmoments._scaled_diagonal(0, 300)) == fresh
     diagonal = [gram.entries[n][n] for n in range(301)]
     assert diagonal == [s / (2 * n + 1) for n, s in enumerate(fresh)]
     assert all(gram.entries[n][m] == gram.entries[m][n] for n in range(301) for m in range(n))
@@ -385,6 +393,16 @@ def test_gram_float_over_sizes_out_of_order_matches_rounded_exact(float_referenc
         gram = gram_float(size, max_order=size)
         assert _same_bits(gram.entries, float_reference[: size + 1, : size + 1]), size
         assert gram.entries.flags.writeable and gram.entries.flags.owndata
+
+
+def test_float_diagonal_grown_past_max_order_in_steps(float_reference, empty_store):
+    # each growth of the float diagonal starts where the last one stopped
+    for size in (300, 700, 1024):
+        gram = gram_float(size, max_order=size)
+        assert _same_bits(gram.entries, float_reference[: size + 1, : size + 1]), size
+        assert exactmoments._float_diagonal.table.shape == (size + 1, 2)
+    fresh = [float(s) for s in _fresh_sums(MAX_ORDER)]
+    assert diag_scaling_table(MAX_ORDER) == list(enumerate(fresh))
 
 
 def test_float_diagonal_store_is_read_only_and_not_shared(empty_store):

@@ -641,3 +641,43 @@ def test_every_imported_name_is_used():
                 bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
                 unused += [f"{path.name}:{node.lineno} {b}" for b in bound if b not in used]
     assert unused == []
+
+
+def _private_names(statement):
+    """The names ``_x`` (not dunders) that a module-level def, class or assignment binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        bound = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        bound = []
+    return [name for name in bound if name.startswith("_") and not name.startswith("__")]
+
+
+def _read_names(statement):
+    """Every name that ``statement`` reads, as a name, an attribute or an import."""
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_private_name_is_used():
+    # a deletion must not leave a dead helper behind: each module-level _name
+    # is read somewhere in the package outside the statement that binds it
+    package = pathlib.Path(oracles.__file__).parent
+    statements = [
+        (path.name, statement)
+        for path in sorted(package.glob("*.py"))
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    unused = []
+    for path, statement in statements:
+        for name in _private_names(statement):
+            if not any(name in _read_names(other) for _, other in statements if other is not statement):
+                unused.append(f"{path}:{statement.lineno} {name}")
+    assert unused == []
