@@ -12,6 +12,8 @@ from __future__ import annotations
 import array
 import math
 import numbers
+import threading
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +26,15 @@ from .legendre import check_order
 #: Ceiling on expansion orders, which bounds the coefficient list that
 #: ``log_expansion_coeffs`` and the expansion report carry.
 MAX_EXPANSION_ORDER = 512
+
+#: numpy's warning on reading a complex value as a real one, which drops
+#: the imaginary part: in ``np.exceptions`` from numpy 1.25, ``np`` before.
+_ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
+
+#: Held while a float form turns that warning into an error: the filters
+#: ``warnings.catch_warnings`` saves and restores are the process's, so two
+#: calls interleaved in threads could leave the error filter in place.
+_WARNINGS_LOCK = threading.Lock()
 
 __all__ = [
     "MAX_EXPANSION_ORDER",
@@ -61,7 +72,8 @@ def bilinear_log_form(a, b, gram: GramMatrix):
     summed by BLAS as a' (N b) over nonzero a_n from only the cells it
     reads: its last bits may move, within (len(a)+len(b)) eps sum |a_n b_m N_nm|.
     There each coefficient is read as a C double, so one that is not a
-    real number (None, a string, a sequence such as a matrix row) or is
+    real number (None, a string, a sequence such as a matrix row, or a
+    complex value, numpy's included, even with imaginary part 0) or is
     beyond the double range is refused with ValueError.
     """
     a = list(a)
@@ -90,10 +102,12 @@ def bilinear_log_form(a, b, gram: GramMatrix):
     rows = gram.entries[: len(a)]  # an exact Gram is rounded only where the form reads it
     block = rows[:, : len(b)] if isinstance(rows, np.ndarray) else [r[: len(b)] for r in rows]
     try:  # array takes numbers only, where numpy would read None as nan and parse strings
-        x, y = np.frombuffer(array.array("d", a)), np.frombuffer(array.array("d", b))
+        with _WARNINGS_LOCK, warnings.catch_warnings():
+            warnings.simplefilter("error", _ComplexWarning)
+            x, y = np.frombuffer(array.array("d", a)), np.frombuffer(array.array("d", b))
     except OverflowError:  # an int or Fraction past the largest double
         raise ValueError("a coefficient is beyond the double range in a float form") from None
-    except TypeError as exc:  # None, a string, bytes or a sequence
+    except (TypeError, _ComplexWarning) as exc:  # None, a string, bytes, a sequence, a complex
         raise ValueError(f"coefficient vectors must be 1-D, of real numbers: {exc}") from None
     # b's zeros add exact zeros to the row sums N b (|N| <= 1); a's zeros are
     # skipped, since a row sum may overflow and 0 * inf would be nan

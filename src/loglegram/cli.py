@@ -130,9 +130,7 @@ def _cmd_verify(args) -> tuple[str, int]:
             "ok": report.passed,
             "failures": [[c.n, c.m] for c in report.failures],
         }
-        if report.mode == "quad":
-            payload["worst_abs"] = _json_cell(report.worst_abs)
-            payload["worst_rel"] = _json_cell(report.worst_rel)
+        payload.update({f"worst_{name}": _json_cell(value) for name, value in report.worst.items()})
         return _dump_json(payload), code
     if args.format == "csv":
         # one line per pair, read straight from the report's arrays
@@ -141,17 +139,11 @@ def _cmd_verify(args) -> tuple[str, int]:
             map(str, report.m.tolist()),
             ["pass" if ok else "fail" for ok in report.pair_passed.tolist()],
         ]
-        if report.mode == "quad":
-            columns += [map(repr, report.abs_err.tolist()), map(repr, report.rel_err.tolist())]
+        columns += [map(repr, errors.tolist()) for errors in report.errors.values()]
         return "".join(",".join(row) + "\n" for row in zip(*columns)), code
-    if report.mode == "exact":
-        summary = f"{report.num_passed}/{report.num_pairs} pairs exact\n"
-    else:
-        summary = (
-            f"{report.num_passed}/{report.num_pairs} pairs within tolerance "
-            f"(rel {oracles.QUAD_REL_TOL:g}, abs {oracles.QUAD_ABS_TOL:g}); "
-            f"worst abs {report.worst_abs:.3e}, worst rel {report.worst_rel:.3e}\n"
-        )
+    worst = ", ".join(f"worst {name} {value:.3e}" for name, value in report.worst.items())
+    summary = f"{report.num_passed}/{report.num_pairs} pairs {report.criterion}"
+    summary += f"; {worst}\n" if worst else "\n"
     return summary + "".join(f"FAIL ({c.n},{c.m})\n" for c in report.failures), code
 
 
@@ -275,7 +267,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="check the closed forms against an oracle")
     p.add_argument("--max-order", type=int, default=20)
-    p.add_argument("--oracle", choices=("exact", "quad"), default="exact")
+    p.add_argument("--oracle", choices=oracles.ORACLES, default="exact")
     p.add_argument(
         "--quad-degree",
         type=int,

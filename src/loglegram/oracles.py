@@ -29,12 +29,16 @@ Two oracles, sharing no formula with :mod:`loglegram.exactmoments`:
   ValueError, so a quad failure only ever means a wrong closed form.
 
 ``verify_range`` compares the closed-form Gram from ``exactmoments``
-against either oracle on all pairs at once and reports per-pair results
-as arrays: the exact oracle's sums for every pair come from that sweep
-over the lower triangle, in report order, about max_order**2 / 2 integer
-steps, with no state kept; the quadrature for every pair from symmetric
-products of the weighted recurrence table with itself, summed over node
-chunks so that the table stays bounded in memory at any order.
+against an oracle of the table ``ORACLES`` on all pairs at once and
+reports per-pair results as arrays: the exact oracle's sums for every
+pair come from that sweep over the lower triangle, in report order,
+about max_order**2 / 2 integer steps, with no state kept; the quadrature
+for every pair from symmetric products of the weighted recurrence table
+with itself, summed over node chunks so that the table stays bounded in
+memory at any order.  Each oracle returns the per-pair outcomes, the
+``criterion`` they were judged by and its per-pair ``errors`` by name
+("abs" and "rel" for the quad oracle, none for the exact one); the
+report keeps all three and reads its ``worst`` errors from them.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .legendre import MAX_ORDER, check_order, coeffs_exact, recurrence_sweep
 
 __all__ = [
     "MAX_QUAD_DEGREE",
+    "ORACLES",
     "QUAD_ABS_TOL",
     "QUAD_REL_TOL",
     "PairCheck",
@@ -288,12 +293,68 @@ def _exact_sums(n_max: int):
     return sums, big
 
 
+def _exact_check(max_order: int, closed, rule, rows, cols):
+    """The exact oracle's verdict: each pair passes iff its closed form is -S[n, m] / big.
+
+    ``closed`` is the closed side in report order, rationals with
+    ``numerator`` and ``denominator``, or None for the lower triangle of
+    ``gram_exact``, read by row slices.  The sums come from ``_exact_sums``
+    and are compared by cross-multiplication, with no Fraction per pair.
+    No rule enters this oracle, so one passed is refused with ValueError.
+    There are no error arrays.
+    """
+    if rule is not None:
+        raise ValueError("rule applies to quad sweeps only")
+    from . import exactmoments  # here, so the oracles above stay import-independent of it
+
+    sums, big = _exact_sums(max_order)
+    if closed is None:
+        entries = exactmoments.gram_exact(max_order).entries
+        closed = [p for n, row in enumerate(entries) for p in row[: n + 1]]
+    passed = [p.numerator * big == -s * p.denominator for p, s in zip(closed, sums)]
+    return np.array(passed, dtype=bool), "exact", {}
+
+
+def _quad_check(max_order: int, closed, rule, rows, cols):
+    """The quad oracle's verdict: each pair passes within QUAD_REL_TOL or QUAD_ABS_TOL.
+
+    ``closed`` is the closed side in report order, rounded as ``float``
+    rounds it, or None for ``gram_float`` indexed at (rows, cols).  The
+    pairs come from ``_quad_gram`` on ``rule`` (None: the smallest exact
+    one), whose table is freed before the closed side is built.  The
+    errors are "abs", |approx - closed|, and "rel", that over |closed|
+    (inf where the closed form is 0).
+    """
+    from . import exactmoments  # here, so the oracles above stay import-independent of it
+
+    approx = _quad_gram(max_order, rule)[rows, cols]
+    if closed is None:
+        closed = exactmoments.gram_float(max_order).entries[rows, cols]
+    reference = np.asarray(closed, dtype=float)
+    # elementwise IEEE arithmetic rounds as the same Python float operations would
+    with np.errstate(all="ignore"):
+        abs_err = np.abs(approx - reference)
+        rel_err = np.where(reference != 0, abs_err / np.abs(reference), np.inf)
+    passed = (rel_err <= QUAD_REL_TOL) | (abs_err <= QUAD_ABS_TOL)
+    criterion = f"within tolerance (rel {QUAD_REL_TOL:g}, abs {QUAD_ABS_TOL:g})"
+    return passed, criterion, {"abs": abs_err, "rel": rel_err}
+
+
+#: The oracles ``verify_range`` and ``loglegram verify --oracle`` choose
+#: from, by mode.  Each is called as (max_order, closed, rule, rows, cols),
+#: with the closed side in report order or None for its own Gram, and
+#: returns (passed, criterion, errors): the per-pair outcomes, what a pass
+#: means, and the per-pair error arrays by name.
+ORACLES = {"exact": _exact_check, "quad": _quad_check}
+
+
 @dataclass(frozen=True)
 class PairCheck:
     """Outcome of comparing one (n, m) pair against an oracle.
 
     ``n`` and ``m`` are Python ints, ``passed`` a bool and the errors
-    Python floats (None in exact sweeps), so a check serializes as is.
+    Python floats, the report's ``errors`` at the pair in order (None in
+    exact sweeps), so a check serializes as is.
     """
 
     n: int
@@ -309,11 +370,14 @@ class VerificationReport:
 
     The results are held as read-only arrays over the pairs in sweep
     order, the order of ``np.tril_indices(max_order + 1)``: the indices
-    ``n`` and ``m``, the per-pair outcome ``pair_passed`` and, in quad
-    sweeps, ``abs_err`` and ``rel_err`` (None in exact sweeps).  Every
-    summary is read from the arrays; ``failures`` builds a ``PairCheck``
-    for each failing pair only.  Reports compare by identity; compare
-    their arrays to compare their results.
+    ``n`` and ``m``, the per-pair outcome ``pair_passed`` and ``errors``,
+    the oracle's per-pair error arrays by name ("abs" and "rel" in quad
+    sweeps, none in exact ones).  ``criterion`` says what a pass means:
+    "exact", or the quad tolerances.  Every summary is read from the
+    arrays: ``worst`` holds the largest value of each error array, by
+    name, and ``failures`` builds a ``PairCheck`` for each failing pair
+    only.  Reports compare by identity; compare their arrays to compare
+    their results.
     """
 
     mode: str
@@ -321,15 +385,14 @@ class VerificationReport:
     n: np.ndarray
     m: np.ndarray
     pair_passed: np.ndarray
-    abs_err: np.ndarray | None = None
-    rel_err: np.ndarray | None = None
+    criterion: str
+    errors: dict
 
     def __post_init__(self):
-        # the report hands these arrays out, and ``failures``, the worst-error
-        # fields and the CLI's csv are read from them, so they must not change
-        for array in (self.n, self.m, self.pair_passed, self.abs_err, self.rel_err):
-            if array is not None:
-                array.flags.writeable = False
+        # the report hands these arrays out, and ``failures``, ``worst`` and
+        # the CLI's csv are read from them, so they must not change
+        for array in (self.n, self.m, self.pair_passed, *self.errors.values()):
+            array.flags.writeable = False
 
     @property
     def num_pairs(self) -> int:
@@ -342,29 +405,23 @@ class VerificationReport:
     @property
     def failures(self) -> list:
         index = np.flatnonzero(~self.pair_passed)
-        columns = [a[index].tolist() for a in (self.n, self.m, self.pair_passed)]
-        if self.abs_err is not None:
-            columns += [self.abs_err[index].tolist(), self.rel_err[index].tolist()]
-        return [PairCheck(*row) for row in zip(*columns)]
+        arrays = (self.n, self.m, self.pair_passed, *self.errors.values())
+        return [PairCheck(*row) for row in zip(*(a[index].tolist() for a in arrays))]
 
     @property
     def passed(self) -> bool:
         return bool(self.pair_passed.all())
 
     @property
-    def worst_abs(self) -> float | None:
-        return None if self.abs_err is None else float(self.abs_err.max())
-
-    @property
-    def worst_rel(self) -> float | None:
-        return None if self.rel_err is None else float(self.rel_err.max())
+    def worst(self) -> dict:
+        return {name: float(errors.max()) for name, errors in self.errors.items()}
 
     @property
     def worst_pair(self) -> tuple[int, int] | None:
-        """(n, m) of the largest ``rel_err`` (the first such pair), None in exact sweeps."""
-        if self.rel_err is None:
+        """(n, m) of the largest ``errors["rel"]`` (the first such pair), None without one."""
+        if "rel" not in self.errors:
             return None
-        worst = int(self.rel_err.argmax())
+        worst = int(self.errors["rel"].argmax())
         return int(self.n[worst]), int(self.m[worst])
 
 
@@ -377,12 +434,13 @@ def verify_range(
 ) -> VerificationReport:
     """Check the closed forms against an oracle on all pairs up to max_order.
 
-    ``mode`` selects the oracle: "exact" demands perfect rational
-    equality against the symbolic oracle (passing ``rule``, which it
-    cannot honour, raises ValueError); "quad" accepts relative deviation
-    <= QUAD_REL_TOL, or absolute deviation <= QUAD_ABS_TOL once the value
-    underflows that scale.  Both cap max_order at MAX_ORDER.  Failures
-    are recorded in the report, never raised.
+    ``mode`` selects the oracle from ``ORACLES``: "exact" demands perfect
+    rational equality against the symbolic oracle (passing ``rule``,
+    which it cannot honour, raises ValueError); "quad" accepts relative
+    deviation <= QUAD_REL_TOL, or absolute deviation <= QUAD_ABS_TOL once
+    the value underflows that scale, and reports both as ``errors``.  Any
+    other mode raises ValueError.  Both cap max_order at MAX_ORDER.
+    Failures are recorded in the report, never raised.
     The quad oracle takes the smallest exact rule, max_order + 1 nodes,
     unless ``rule`` is given, and refuses a rule too small for the span
     or not from ``gauss_legendre_rule`` (see ``_quad_kernel``), so default
@@ -409,40 +467,16 @@ def verify_range(
     exact mode it must return rationals (``numerator``/``denominator``),
     and in quad mode its values are rounded as ``float`` rounds them.
     """
-    # Imported here so the oracle paths above stay import-independent of
-    # the module they are meant to check.
-    from . import exactmoments
-
-    if mode not in ("exact", "quad"):
-        raise ValueError(f"mode must be 'exact' or 'quad', got {mode!r}")
-    if mode == "exact" and rule is not None:
-        raise ValueError("rule applies to quad sweeps only")
+    if mode not in ORACLES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, ORACLES))}, got {mode!r}")
     max_order = check_order(max_order, name="max_order")
 
     # the pairs m <= n row by row: n repeated n + 1 times, m counting up from 0
     rows = np.repeat(np.arange(max_order + 1), np.arange(1, max_order + 2))
     cols = np.arange(rows.size) - rows * (rows + 1) // 2
 
+    closed = None
     if entry_fn is not None:
         closed = [entry_fn(n, m) for n, m in zip(rows.tolist(), cols.tolist())]
-    if mode == "exact":
-        sums, big = _exact_sums(max_order)
-        if entry_fn is None:
-            entries = exactmoments.gram_exact(max_order).entries
-            closed = [p for n, row in enumerate(entries) for p in row[: n + 1]]
-        # p/q == -S/big, cross-multiplied: no Fraction per pair
-        passed = [p.numerator * big == -s * p.denominator for p, s in zip(closed, sums)]
-        return VerificationReport(mode, max_order, rows, cols, np.array(passed, dtype=bool))
-
-    # the table is freed on return, before the closed side and the report
-    approx = _quad_gram(max_order, rule)[rows, cols]
-    if entry_fn is None:
-        reference = exactmoments.gram_float(max_order).entries[rows, cols]
-    else:
-        reference = np.array(closed, dtype=float)
-    # elementwise IEEE arithmetic rounds as the same Python float operations would
-    with np.errstate(all="ignore"):
-        abs_err = np.abs(approx - reference)
-        rel_err = np.where(reference != 0, abs_err / np.abs(reference), np.inf)
-    passed = (rel_err <= QUAD_REL_TOL) | (abs_err <= QUAD_ABS_TOL)
-    return VerificationReport(mode, max_order, rows, cols, passed, abs_err, rel_err)
+    passed, criterion, errors = ORACLES[mode](max_order, closed, rule, rows, cols)
+    return VerificationReport(mode, max_order, rows, cols, passed, criterion, errors)

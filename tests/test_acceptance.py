@@ -114,7 +114,7 @@ def test_criterion_5_quadrature_cross_check():
         "5 quadrature cross-check, pairs <= 20, rel 1e-10 / abs 1e-13",
         report.passed and elapsed < 10.0,
         f"{report.num_passed}/{report.num_pairs} pairs, worst rel "
-        f"{report.worst_rel:.3e}, {elapsed:.2f}s",
+        f"{report.worst['rel']:.3e}, {elapsed:.2f}s",
     )
 
 

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -324,6 +327,50 @@ def test_bilinear_rejects_undersized_gram():
             for a, b in ((bad, [1, 1]), ([1, 1], bad)):
                 with pytest.raises(ValueError, match="coefficient vectors must be 1-D"):
                     bilinear_log_form(a, b, build(1))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[np.complex128(1 + 2j)], [0.5, np.complex64(1)], np.array([1 + 2j, 0]), np.zeros(2, complex)],
+    ids=["complex128", "complex64-imag-0", "complex-array", "complex-array-imag-0"],
+)
+@pytest.mark.parametrize("build", [gram_exact, gram_float])
+def test_float_form_refuses_complex_coefficients(bad, build):
+    # numpy reads a complex value as its real part, with only a ComplexWarning:
+    # [1 + 2j] once gave -1.0 on either Gram; an imaginary part of 0 is refused too
+    for a, b in ((bad, [1, 1]), ([1, 1], bad)):
+        with pytest.raises(ValueError, match="coefficient vectors must be 1-D, of real numbers"):
+            bilinear_log_form(a, b, build(1))
+
+
+def test_complex_refusal_leaves_the_warning_filters_as_found():
+    # the refusal turns the warning into an error within the call only; calls
+    # from more threads than cores, switching often, must not leave it behind
+    before = list(warnings.filters)
+    gram = gram_float(1)
+    failures = []
+
+    def run():
+        for _ in range(300):
+            try:
+                bilinear_log_form([1.0, 2.0], [0.5, np.complex128(1)], gram)
+            except ValueError:
+                continue
+            failures.append("a complex coefficient was accepted")
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert warnings.filters == before
 
 
 def test_l2_error_matches_telescoped_tail():

@@ -1,13 +1,17 @@
 import ast
+import contextlib
+import io
 import json
 import pathlib
 import random
 import subprocess
+import tempfile
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loglegram import cli, exactmoments, oracles
 from loglegram.exactmoments import GramMatrix
@@ -284,7 +288,7 @@ def _per_pair_verify_csv(report):
         status = "pass" if report.pair_passed[i] else "fail"
         row = f"{int(report.n[i])},{int(report.m[i])},{status}"
         if report.mode == "quad":
-            row += f",{float(report.abs_err[i])!r},{float(report.rel_err[i])!r}"
+            row += f",{float(report.errors['abs'][i])!r},{float(report.errors['rel'][i])!r}"
         lines.append(row + "\n")
     return "".join(lines)
 
@@ -311,6 +315,45 @@ def test_verify_csv_matches_per_pair_reference(run_cli, monkeypatch):
     assert expected.count(",fail,") == 15
     code, out, _ = run_cli("verify", "--max-order", "40", "--oracle", "quad", "--format", "csv")
     assert (code, out) == (2, expected)
+
+
+def test_verify_formats_any_oracle_from_its_report(run_cli, monkeypatch):
+    # an oracle added to the one table reaches every format through the report
+    # alone: its error arrays, by name, and its criterion
+    def stub(max_order, closed, rule, rows, cols):
+        spread = np.full(rows.size, 0.25)
+        return cols <= 1, "within a made-up bound", {"spread": spread}
+
+    monkeypatch.setitem(oracles.ORACLES, "stub", stub)
+    report = oracles.verify_range(2, "stub")
+    assert (report.criterion, report.worst, report.worst_pair) == (
+        "within a made-up bound", {"spread": 0.25}, None
+    )
+    assert report.failures == [oracles.PairCheck(2, 2, False, 0.25)]
+
+    argv = ("verify", "--max-order", "2", "--oracle", "stub", "--format")
+    code, out, err = run_cli(*argv, "json")
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {
+        "mode": "stub", "max_order": 2, "pairs": 6, "passed": 5, "ok": False,
+        "failures": [[2, 2]], "worst_spread": 0.25,
+    }
+    code, out, _ = run_cli(*argv, "csv")
+    assert code == 2
+    assert out.splitlines() == [
+        "0,0,pass,0.25", "1,0,pass,0.25", "1,1,pass,0.25",
+        "2,0,pass,0.25", "2,1,pass,0.25", "2,2,fail,0.25",
+    ]
+    code, out, _ = run_cli(*argv, "plain")
+    assert code == 2
+    assert out == "5/6 pairs within a made-up bound; worst spread 2.500e-01\nFAIL (2,2)\n"
+
+    monkeypatch.delitem(oracles.ORACLES, "stub")
+    code, out, err = run_cli(*argv, "plain")
+    assert (code, out) == (1, "")
+    assert "invalid choice: 'stub'" in err
+    with pytest.raises(ValueError, match="mode must be 'exact' or 'quad', got 'stub'"):
+        oracles.verify_range(2, "stub")
 
 
 def test_expand_log_order_one(run_cli):
@@ -452,6 +495,52 @@ def test_exact_results_past_the_int_digit_limit_print(run_cli, tmp_path):
     code, out, err = run_cli("bilinear", too_long, nines)
     assert (code, out) == (1, "")
     assert "unparseable value" in err
+
+
+# the line kinds a fuzz of coefficient files drew from: 5,000-digit ints,
+# 1/0, nan, inf, 1e309, NUL, a byte order mark and subnormals, among
+# fraction, int and decimal lines
+_COEFF_LINES = st.one_of(
+    st.sampled_from(
+        [
+            "9" * 5000, "-" + "7" * 5000, "1/" + "3" * 5000, "1/0", "0/0", "nan", "-inf", "inf",
+            "1e309", "-1e309", "\x00", "1\x00", "\ufeff", "\ufeff1", "5e-324", "-4.9e-324",
+            "2.2250738585072014e-308", "1.7976931348623157e308", "# comment", "", "  ",
+        ]
+    ),
+    st.fractions().map(str),
+    st.integers().map(str),
+    st.floats().map(repr),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.lists(_COEFF_LINES, max_size=8),
+    b=st.lists(_COEFF_LINES, max_size=8),
+    fmt=st.sampled_from(["plain", "csv", "json"]),
+    cap=st.sampled_from([None, "0", "3", "300"]),
+)
+def test_bilinear_files_keep_the_exit_code_contract(a, b, fmt, cap):
+    # in-process, so each example costs no interpreter start-up
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, lines in (("a.txt", a), ("b.txt", b)):
+            path = pathlib.Path(tmp, name)
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            paths.append(str(path))
+        argv = ["bilinear", *paths, "--format", fmt]
+        argv += [] if cap is None else ["--max-order-cap", cap]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 3), (code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert out == "" and err, err
 
 
 def test_bilinear_missing_file(run_cli, tmp_path):

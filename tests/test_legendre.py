@@ -274,6 +274,8 @@ def _same(a, b):
         return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in fields)
     if isinstance(a, (list, tuple)):
         return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(map(_same, a.values(), b.values()))
     return a == b
 
 

@@ -340,7 +340,7 @@ def test_quad_sweeps_in_range_pass(max_order, degree):
     rule = None if degree is None else gauss_legendre_rule(degree)
     report = verify_range(max_order, "quad", rule=rule)
     assert report.passed
-    assert report.worst_abs <= 1e-14
+    assert report.worst["abs"] <= 1e-14
 
 
 def test_verify_exact_small_range():
@@ -348,14 +348,16 @@ def test_verify_exact_small_range():
     assert report.num_pairs == 21
     assert report.num_passed == 21
     assert report.passed
-    assert report.worst_abs is None and report.worst_rel is None
+    assert (report.criterion, report.errors, report.worst) == ("exact", {}, {})
 
 
 def test_verify_quad_single_pair():
     report = verify_range(0, "quad")
     assert report.num_pairs == 1
     assert report.passed
-    assert report.worst_abs <= 1e-12
+    assert report.criterion == "within tolerance (rel 1e-10, abs 1e-13)"
+    assert list(report.errors) == list(report.worst) == ["abs", "rel"]
+    assert report.worst["abs"] <= 1e-12
 
 
 def _faulty_entry(n, m):
@@ -406,8 +408,11 @@ def test_verify_gram_side_is_the_entry_side(mode):
     max_order = 17 if mode == "exact" else 31
     by_gram = verify_range(max_order, mode)
     by_entry = verify_range(max_order, mode, entry_fn=exactmoments.entry)
-    for name in ("n", "m", "pair_passed", "abs_err", "rel_err"):
+    for name in ("n", "m", "pair_passed"):
         assert np.array_equal(getattr(by_gram, name), getattr(by_entry, name)), name
+    assert by_gram.errors.keys() == by_entry.errors.keys()
+    for name, errors in by_gram.errors.items():
+        assert np.array_equal(errors, by_entry.errors[name]), name
 
 
 SWEEPS = {
@@ -426,8 +431,8 @@ def _all_pairs(report):
     checks = []
     for i in range(report.num_pairs):
         errs = (None, None)
-        if report.abs_err is not None:
-            errs = (float(report.abs_err[i]), float(report.rel_err[i]))
+        if report.mode == "quad":
+            errs = (float(report.errors["abs"][i]), float(report.errors["rel"][i]))
         n, m, passed = int(report.n[i]), int(report.m[i]), bool(report.pair_passed[i])
         checks.append(oracles.PairCheck(n, m, passed, *errs))
     return checks
@@ -452,11 +457,10 @@ def test_report_summaries_are_lazy_and_match_the_checks(sweep, monkeypatch):
         report.num_passed,
         report.passed,
         report.failures,
-        report.worst_abs,
-        report.worst_rel,
+        report.worst,
         report.worst_pair,
     )
-    num_pairs, num_passed, passed, failures, worst_abs, worst_rel, worst_pair = summaries
+    num_pairs, num_passed, passed, failures, worst, worst_pair = summaries
     # only the failing pairs are built
     assert len(built) == len(failures)
     assert num_pairs == len(checks) == (max_order + 1) * (max_order + 2) // 2
@@ -468,19 +472,21 @@ def test_report_summaries_are_lazy_and_match_the_checks(sweep, monkeypatch):
         errs = (c.abs_err, c.rel_err)
         assert all(type(e) is float for e in errs) if mode == "quad" else errs == (None, None)
     if mode == "exact":
-        assert (worst_abs, worst_rel, worst_pair) == (None, None, None)
+        assert (report.errors, worst, worst_pair) == ({}, {}, None)
     else:
-        assert worst_abs == max(c.abs_err for c in checks)
-        assert worst_rel == max(c.rel_err for c in checks)
-        worst = max(checks, key=lambda c: c.rel_err)  # the first of equal maxima
-        assert worst_pair == (worst.n, worst.m)
+        assert list(report.errors) == list(worst) == ["abs", "rel"]
+        assert worst["abs"] == max(c.abs_err for c in checks)
+        assert worst["rel"] == max(c.rel_err for c in checks)
+        assert all(type(value) is float for value in worst.values())
+        first = max(checks, key=lambda c: c.rel_err)  # the first of equal maxima
+        assert worst_pair == (first.n, first.m)
         assert type(worst_pair[0]) is int and type(worst_pair[1]) is int
 
     # the arrays every summary is read from cannot change under them
     with pytest.raises(ValueError):
         report.pair_passed[0] = not report.pair_passed[0]
-    arrays = (report.n, report.m, report.pair_passed, report.abs_err, report.rel_err)
-    assert not any(a.flags.writeable for a in arrays if a is not None)
+    arrays = (report.n, report.m, report.pair_passed, *report.errors.values())
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_exact_sums_are_the_single_oracle(monkeypatch):
