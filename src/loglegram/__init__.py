@@ -4,26 +4,19 @@ Computes N[n, m] = integral over [0, 1] of P_n(2x-1) P_m(2x-1) log(x) dx
 in exact rational arithmetic from closed forms, and verifies the values
 against an independent symbolic oracle (exact) and a Gauss-Legendre
 product rule that is exact in range (floating).
+
+``import loglegram`` loads ``errors``, ``legendre`` and ``exactmoments``
+(and with them numpy).  The names from ``analysis`` and ``oracles``, and
+the submodules ``analysis``, ``oracles`` and ``cli``, are imported on
+first access (PEP 562), so a process that only evaluates the closed
+forms never compiles the oracles.
 """
 
-from .analysis import (
-    ExpansionReport,
-    bilinear_log_form,
-    diag_scaling_table,
-    expansion_l2_error,
-    log_expansion_coeffs,
-)
+import importlib
+
 from .errors import OrderLimitError
-from .exactmoments import GramMatrix, entry, gram_exact, gram_float
+from .exactmoments import GramMatrix, diag_scaling_table, entry, gram_exact, gram_float
 from .legendre import MAX_ORDER, MonomialPoly, coeffs_exact
-from .oracles import (
-    QuadratureRule,
-    VerificationReport,
-    exact_entry_oracle,
-    gauss_legendre_rule,
-    quad_entry_oracle,
-    verify_range,
-)
 
 __version__ = "0.1.0"
 
@@ -48,3 +41,28 @@ __all__ = [
     "quad_entry_oracle",
     "verify_range",
 ]
+
+# each name imported on first access, and the submodule that defines it; a
+# submodule maps to itself
+_LAZY = {
+    "analysis": "analysis",
+    "ExpansionReport": "analysis",
+    "bilinear_log_form": "analysis",
+    "expansion_l2_error": "analysis",
+    "log_expansion_coeffs": "analysis",
+    "oracles": "oracles",
+    "QuadratureRule": "oracles",
+    "VerificationReport": "oracles",
+    "exact_entry_oracle": "oracles",
+    "gauss_legendre_rule": "oracles",
+    "quad_entry_oracle": "oracles",
+    "verify_range": "oracles",
+    "cli": "cli",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    return module if name == _LAZY[name] else getattr(module, name)

@@ -13,13 +13,17 @@ Each subcommand returns its whole stdout text and exit code; ``main``
 alone writes that text, once and after everything else has succeeded, so
 a failure leaves stdout empty.  A reader that closes the pipe early does
 not change the exit code.
+
+At start-up the module imports only ``exactmoments`` of the package:
+``verify`` imports ``oracles``, ``expand-log`` and ``bilinear`` import
+``analysis``, and json output imports ``json``, each when it runs, so
+``entry`` and ``gram`` never compile the oracles.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
@@ -28,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import analysis, exactmoments, oracles
+from . import exactmoments
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,6 +73,8 @@ def _format_value(value) -> str:
 
 
 def _dump_json(obj) -> str:
+    import json
+
     return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
 
 
@@ -115,6 +121,8 @@ def _cmd_gram(args) -> tuple[str, int]:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
+    from . import oracles
+
     report = oracles.verify_range(
         args.max_order,
         args.oracle,
@@ -148,6 +156,8 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 
 def _cmd_expand_log(args) -> tuple[str, int]:
+    from . import analysis
+
     report = analysis.expansion_l2_error(args.order)
     coeffs = [float(c) for c in report.coefficients]
     if args.format == "json":
@@ -207,6 +217,8 @@ def _read_coeff_file(path):
 
 
 def _cmd_bilinear(args) -> tuple[str, int]:
+    from . import analysis
+
     a, a_exact = _read_coeff_file(args.a_file)
     b, b_exact = _read_coeff_file(args.b_file)
     size = max(len(a), len(b)) - 1
@@ -221,6 +233,25 @@ def _cmd_bilinear(args) -> tuple[str, int]:
     if args.format == "json":
         return _dump_json({"mode": gram.mode, "value": _json_cell(value)}), EXIT_OK
     return _format_value(value) + "\n", EXIT_OK
+
+
+class _OracleNames:
+    """The live keys of ``oracles.ORACLES``, the ``--oracle`` choices.
+
+    argparse reads choices only to check a given value or to print help,
+    so only then is ``oracles`` imported.  They are set on the action after
+    ``add_argument``, which would otherwise iterate them for the metavar.
+    """
+
+    def __contains__(self, name) -> bool:
+        from . import oracles
+
+        return name in oracles.ORACLES
+
+    def __iter__(self):
+        from . import oracles
+
+        return iter(oracles.ORACLES)
 
 
 def _add_common(parser, *, max_order_cap=True) -> None:
@@ -267,7 +298,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="check the closed forms against an oracle")
     p.add_argument("--max-order", type=int, default=20)
-    p.add_argument("--oracle", choices=oracles.ORACLES, default="exact")
+    p.add_argument("--oracle", default="exact").choices = _OracleNames()
     p.add_argument(
         "--quad-degree",
         type=int,

@@ -17,16 +17,17 @@ in numpy and needs rational arithmetic only for its diagonal.
 
 No closed form depends on the matrix size, so the Gram of order k is the
 leading block of every larger one.  The module keeps three stores, the
-package's only ones, each a ``_Store``: a table that only grows, so that
-every value in it is built once per process: the rows of N up to
-``MAX_ORDER`` (about 3 MiB when full), and two read-only float64 arrays,
-float(N[n, m]) up to ``MAX_ORDER`` (257**2 doubles, about 516 KiB) and,
-with no cap, float(N[n, n]) beside float((2n+1) N[n, n]) (16 bytes per
-n).  Exact diagonal values are kept only as cells of the rows.  A store
-that does not cover a request is grown under one lock: a new table is
-built from the old one, only the new values computed, and published by
-one assignment, so no caller sees a half-grown table.  A request past a
-store's cap is built from its current table and not kept.
+package's only stores of values (its one other cache is the oracles' set
+of Gauss rules, at most 257), each a ``_Store``: a table that only
+grows, so that every value in it is built once per process: the rows of
+N up to ``MAX_ORDER`` (about 3 MiB when full), and two read-only float64
+arrays, float(N[n, m]) up to ``MAX_ORDER`` (257**2 doubles, about 516
+KiB) and, with no cap, float(N[n, n]) beside float((2n+1) N[n, n]) (16
+bytes per n).  Exact diagonal values are kept only as cells of the rows.
+A store that does not cover a request is grown under one lock: a new
+table is built from the old one, only the new values computed, and
+published by one assignment, so no caller sees a half-grown table.  A
+request past a store's cap is built from its current table and not kept.
 """
 
 from __future__ import annotations

@@ -2,9 +2,11 @@ import ast
 import contextlib
 import io
 import json
+import os
 import pathlib
 import random
 import subprocess
+import sys
 import tempfile
 from decimal import Decimal
 from fractions import Fraction
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import loglegram
 from loglegram import cli, exactmoments, oracles
 from loglegram.exactmoments import GramMatrix
 
@@ -751,3 +754,108 @@ def test_cli_leaves_integer_checks_to_the_library():
     ]
     assert len(types) == 7
     assert all(isinstance(t, ast.Name) and t.id == "int" for t in types)
+
+
+# argparse's output at COLUMNS=80; --oracle lists the keys of oracles.ORACLES
+_VERIFY_HELP = """\
+usage: loglegram verify [-h] [--max-order MAX_ORDER] [--oracle {exact,quad}]
+                        [--quad-degree QUAD_DEGREE]
+                        [--format {plain,csv,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --max-order MAX_ORDER
+  --oracle {exact,quad}
+  --quad-degree QUAD_DEGREE
+                        Gauss-Legendre nodes per axis of the product rule,
+                        quad oracle only; refused if not exact up to 2 x max-
+                        order (default: the smallest exact rule, max-order +
+                        1)
+  --format {plain,csv,json}
+                        output format (default: plain)
+"""
+
+
+def test_verify_help_lists_the_oracles(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr() == (_VERIFY_HELP, "")
+
+
+def _fresh(code, tmp_path):
+    """stdout of ``code`` run in a fresh interpreter that finds this package."""
+    package_root = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=package_root),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return result.stdout
+
+
+_LAZY_MODULES = ("json", "loglegram.analysis", "loglegram.oracles")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["entry", "3", "5"], []),
+        (["gram", "3", "--exact", "--format", "csv"], []),
+        (["verify", "--max-order", "3"], ["loglegram.oracles"]),
+        (["verify", "--oracle", "quad", "--format", "csv"], ["loglegram.oracles"]),
+        (["expand-log", "3"], ["loglegram.analysis"]),
+        (["bilinear", "a.txt", "a.txt"], ["loglegram.analysis"]),
+        (["entry", "3", "5", "--format", "json"], ["json"]),
+    ],
+    ids=lambda value: "_".join(value) or "none",
+)
+def test_each_command_imports_only_the_modules_it_runs(tmp_path, argv, loaded):
+    # json, analysis and oracles are imported by the commands that use them,
+    # so entry and gram never compile the oracles
+    _write(tmp_path / "a.txt", "1\n1/2\n")
+    code = (
+        "import contextlib, io, sys\n"
+        "from loglegram.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        f"print(code, sorted(m for m in {_LAZY_MODULES!r} if m in sys.modules))\n"
+    )
+    assert _fresh(code, tmp_path) == f"0 {loaded}\n"
+
+
+def test_parser_reads_the_oracles_only_to_check_a_choice(tmp_path):
+    code = (
+        "import sys\n"
+        "from loglegram import cli\n"
+        "parser = cli.build_parser()\n"
+        "parser.parse_args(['verify'])\n"
+        "print('loglegram.oracles' in sys.modules)\n"
+        "parser.parse_args(['verify', '--oracle', 'quad'])\n"
+        "print('loglegram.oracles' in sys.modules)\n"
+    )
+    assert _fresh(code, tmp_path) == "False\nTrue\n"
+
+
+def test_package_import_loads_numpy_and_resolves_every_name(tmp_path):
+    # a bare import loads the closed forms and numpy; every other public
+    # name, and the submodules analysis, oracles and cli, resolve on access
+    code = (
+        "import sys, loglegram\n"
+        "lazy = ('loglegram.analysis', 'loglegram.oracles', 'loglegram.cli')\n"
+        "print('numpy' in sys.modules, [m for m in lazy if m in sys.modules])\n"
+        "names = {}\n"
+        "exec('from loglegram import *', names)\n"
+        "print(sorted(set(loglegram.__all__) - names.keys()))\n"
+        "print([m for m in lazy if getattr(loglegram, m.split('.')[1]) is not sys.modules[m]])\n"
+        "print(all(names[n] is getattr(loglegram, n) for n in loglegram.__all__))\n"
+    )
+    assert _fresh(code, tmp_path) == "True []\n[]\n[]\nTrue\n"
+    assert loglegram.verify_range is oracles.verify_range
+    assert loglegram.bilinear_log_form is loglegram.analysis.bilinear_log_form
+    with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
+        loglegram.nonesuch
