@@ -5,18 +5,17 @@ in exact rational arithmetic from closed forms, and verifies the values
 against an independent symbolic oracle (exact) and a Gauss-Legendre
 product rule that is exact in range (floating).
 
-``import loglegram`` loads ``errors``, ``legendre`` and ``exactmoments``
-(and with them numpy).  The names from ``analysis`` and ``oracles``, and
-the submodules ``analysis``, ``oracles`` and ``cli``, are imported on
-first access (PEP 562), so a process that only evaluates the closed
-forms never compiles the oracles.
+``import loglegram`` loads ``legendre`` and ``exactmoments`` (and with
+them numpy).  The names from ``analysis`` and ``oracles``, and the
+submodules ``analysis``, ``oracles`` and ``cli``, are imported on first
+access (PEP 562), so a process that only evaluates the closed forms
+never compiles the oracles.
 """
 
 import importlib
 
-from .errors import OrderLimitError
 from .exactmoments import GramMatrix, diag_scaling_table, entry, gram_exact, gram_float
-from .legendre import MAX_ORDER, MonomialPoly, coeffs_exact
+from .legendre import MAX_ORDER, MonomialPoly, OrderLimitError, coeffs_exact
 
 __version__ = "0.1.0"
 

@@ -19,9 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import OrderLimitError
 from .exactmoments import GramMatrix, diag_scaling_table
-from .legendre import check_order
+from .legendre import OrderLimitError, check_order
 
 #: Ceiling on expansion orders, which bounds the coefficient list that
 #: ``log_expansion_coeffs`` and the expansion report carry.

@@ -26,6 +26,7 @@ import argparse
 import itertools
 import math
 import os
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -180,9 +181,11 @@ def _cmd_expand_log(args) -> tuple[str, int]:
 def _read_coeff_file(path):
     """Parse a coefficient file: one value per line, '#' comments ignored.
 
-    Returns (values, is_exact).  Fraction lines ("p/q") and bare integers
-    are exact; decimal lines make the file floating.  A file mixing
-    fractions with decimals is rejected.
+    Returns (values, is_exact).  Integer and "p/q" lines, signed, with no
+    space or underscore, are exact: ``Fraction`` reads that grammar the
+    same on every Python, where it widens its own from version to version.
+    Any other line is read by ``float`` as a finite decimal, which makes
+    the file floating.  A file mixing fractions with decimals is rejected.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -196,11 +199,9 @@ def _read_coeff_file(path):
         if not line or line.startswith("#"):
             continue
         try:
-            if "/" in line:
+            if re.fullmatch(r"[+-]?\d+(/\d+)?", line):
                 values.append(Fraction(line))
-                saw_fraction = True
-            elif line.lstrip("+-").isdigit():
-                values.append(Fraction(int(line)))
+                saw_fraction = saw_fraction or "/" in line
             else:
                 as_float = float(line)
                 if not math.isfinite(as_float):

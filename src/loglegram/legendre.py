@@ -24,8 +24,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import OrderLimitError
-
 #: Ceiling on polynomial orders accepted by public entry points.  At
 #: order M it bounds what the package builds and keeps: the exact row
 #: store of ``exactmoments`` (about 3 MiB at 256) and its float Gram store
@@ -43,10 +41,15 @@ MAX_ORDER = 256
 __all__ = [
     "MAX_ORDER",
     "MonomialPoly",
+    "OrderLimitError",
     "check_order",
     "coeffs_exact",
     "recurrence_sweep",
 ]
+
+
+class OrderLimitError(ValueError):
+    """A polynomial order exceeds the configured ceiling."""
 
 
 def check_order(n, max_order=None, *, name="order", minimum=0):

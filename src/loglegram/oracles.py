@@ -38,7 +38,8 @@ with itself, summed over node chunks so that the table stays bounded in
 memory at any order.  Each oracle returns the per-pair outcomes, the
 ``criterion`` they were judged by and its per-pair ``errors`` by name
 ("abs" and "rel" for the quad oracle, none for the exact one); the
-report keeps all three and reads its ``worst`` errors from them.
+report keeps all three and reads its ``worst`` errors from them, and
+names a failing pair by its indices alone.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import OrderLimitError
-from .legendre import MAX_ORDER, check_order, coeffs_exact, recurrence_sweep
+from .legendre import MAX_ORDER, OrderLimitError, check_order, coeffs_exact, recurrence_sweep
 
 __all__ = [
     "MAX_QUAD_DEGREE",
@@ -350,18 +350,14 @@ ORACLES = {"exact": _exact_check, "quad": _quad_check}
 
 @dataclass(frozen=True)
 class PairCheck:
-    """Outcome of comparing one (n, m) pair against an oracle.
+    """A pair that failed its oracle: its indices ``n`` and ``m``, as Python ints.
 
-    ``n`` and ``m`` are Python ints, ``passed`` a bool and the errors
-    Python floats, the report's ``errors`` at the pair in order (None in
-    exact sweeps), so a check serializes as is.
+    Whatever errors the oracle reports for the pair, under its own names,
+    are read from the report's ``errors`` arrays at the pair's place.
     """
 
     n: int
     m: int
-    passed: bool
-    abs_err: float | None = None
-    rel_err: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,9 +371,10 @@ class VerificationReport:
     sweeps, none in exact ones).  ``criterion`` says what a pass means:
     "exact", or the quad tolerances.  Every summary is read from the
     arrays: ``worst`` holds the largest value of each error array, by
-    name, and ``failures`` builds a ``PairCheck`` for each failing pair
-    only.  Reports compare by identity; compare their arrays to compare
-    their results.
+    name, and ``failures`` builds a ``PairCheck``, its (n, m), for each
+    failing pair only; a pair's errors are ``errors[name]`` at its place.
+    Reports compare by identity; compare their arrays to compare their
+    results.
     """
 
     mode: str
@@ -405,8 +402,7 @@ class VerificationReport:
     @property
     def failures(self) -> list:
         index = np.flatnonzero(~self.pair_passed)
-        arrays = (self.n, self.m, self.pair_passed, *self.errors.values())
-        return [PairCheck(*row) for row in zip(*(a[index].tolist() for a in arrays))]
+        return list(map(PairCheck, self.n[index].tolist(), self.m[index].tolist()))
 
     @property
     def passed(self) -> bool:

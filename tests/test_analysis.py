@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from loglegram import OrderLimitError
 from loglegram.analysis import (
     bilinear_log_form,
     diag_scaling_table,
     expansion_l2_error,
     log_expansion_coeffs,
 )
-from loglegram.errors import OrderLimitError
 from loglegram.exactmoments import GramMatrix, entry, gram_exact, gram_float
 from loglegram.oracles import gauss_legendre_rule, shifted_legendre_table
 

@@ -320,36 +320,61 @@ def test_verify_csv_matches_per_pair_reference(run_cli, monkeypatch):
     assert (code, out) == (2, expected)
 
 
-def test_verify_formats_any_oracle_from_its_report(run_cli, monkeypatch):
-    # an oracle added to the one table reaches every format through the report
-    # alone: its error arrays, by name, and its criterion
-    def stub(max_order, closed, rule, rows, cols):
-        spread = np.full(rows.size, 0.25)
-        return cols <= 1, "within a made-up bound", {"spread": spread}
+def _stub_spread(max_order, closed, rule, rows, cols):
+    return cols <= 1, "within a made-up bound", {"spread": np.full(rows.size, 0.25)}
 
-    monkeypatch.setitem(oracles.ORACLES, "stub", stub)
+
+def _stub_three(max_order, closed, rule, rows, cols):
+    errors = {"bound": np.full(rows.size, 0.25), "ratio": rows * 0.5, "fault": cols * 1.0}
+    return cols <= 1, "within three made-up bounds", errors
+
+
+# each stub oracle's criterion, worst errors, csv lines and plain worst errors
+# over the pairs up to order 2, of which (2, 2) fails
+STUB_ORACLES = {
+    "spread": (
+        _stub_spread,
+        "within a made-up bound",
+        {"spread": 0.25},
+        ["0,0,pass,0.25", "1,0,pass,0.25", "1,1,pass,0.25",
+         "2,0,pass,0.25", "2,1,pass,0.25", "2,2,fail,0.25"],
+        "worst spread 2.500e-01",
+    ),
+    "bound-ratio-fault": (
+        _stub_three,
+        "within three made-up bounds",
+        {"bound": 0.25, "ratio": 1.0, "fault": 2.0},
+        ["0,0,pass,0.25,0.0,0.0", "1,0,pass,0.25,0.5,0.0", "1,1,pass,0.25,0.5,1.0",
+         "2,0,pass,0.25,1.0,0.0", "2,1,pass,0.25,1.0,1.0", "2,2,fail,0.25,1.0,2.0"],
+        "worst bound 2.500e-01, worst ratio 1.000e+00, worst fault 2.000e+00",
+    ),
+}
+
+
+@pytest.mark.parametrize("stub", STUB_ORACLES)
+def test_verify_formats_any_oracle_from_its_report(run_cli, monkeypatch, stub):
+    # an oracle added to the one table reaches every format through the report
+    # alone: any number of error arrays, by name, and its criterion; a failure
+    # is its pair's indices, whatever the oracle's errors are called
+    check, criterion, worst, csv_lines, worst_text = STUB_ORACLES[stub]
+    monkeypatch.setitem(oracles.ORACLES, "stub", check)
     report = oracles.verify_range(2, "stub")
-    assert (report.criterion, report.worst, report.worst_pair) == (
-        "within a made-up bound", {"spread": 0.25}, None
-    )
-    assert report.failures == [oracles.PairCheck(2, 2, False, 0.25)]
+    assert (report.criterion, report.worst, report.worst_pair) == (criterion, worst, None)
+    assert report.failures == [oracles.PairCheck(2, 2)]
 
     argv = ("verify", "--max-order", "2", "--oracle", "stub", "--format")
     code, out, err = run_cli(*argv, "json")
     assert (code, err) == (2, "")
     assert json.loads(out) == {
         "mode": "stub", "max_order": 2, "pairs": 6, "passed": 5, "ok": False,
-        "failures": [[2, 2]], "worst_spread": 0.25,
+        "failures": [[2, 2]], **{f"worst_{name}": value for name, value in worst.items()},
     }
     code, out, _ = run_cli(*argv, "csv")
     assert code == 2
-    assert out.splitlines() == [
-        "0,0,pass,0.25", "1,0,pass,0.25", "1,1,pass,0.25",
-        "2,0,pass,0.25", "2,1,pass,0.25", "2,2,fail,0.25",
-    ]
+    assert out.splitlines() == csv_lines
     code, out, _ = run_cli(*argv, "plain")
     assert code == 2
-    assert out == "5/6 pairs within a made-up bound; worst spread 2.500e-01\nFAIL (2,2)\n"
+    assert out == f"5/6 pairs {criterion}; {worst_text}\nFAIL (2,2)\n"
 
     monkeypatch.delitem(oracles.ORACLES, "stub")
     code, out, err = run_cli(*argv, "plain")
@@ -451,7 +476,9 @@ def test_bilinear_mixed_kind_file_rejected(run_cli, tmp_path):
 
 def test_bilinear_unparseable_file(run_cli, tmp_path):
     b = _write(tmp_path / "b.txt", "1\n")
-    for bad in ("spam\n", "nan\n", "inf\n"):
+    # a spaced or underscored fraction is refused on every Python, whichever
+    # of them Fraction(str) would accept
+    for bad in ("spam\n", "nan\n", "inf\n", "2 / 3\n", "1_0/3\n"):
         a = _write(tmp_path / "a.txt", bad)
         code, _, err = run_cli("bilinear", a, b)
         assert code == 1

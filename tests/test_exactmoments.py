@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from loglegram import exactmoments
+from loglegram import OrderLimitError, exactmoments
 from loglegram.analysis import diag_scaling_table
-from loglegram.errors import OrderLimitError
 from loglegram.exactmoments import (
     _Store,
     entry,

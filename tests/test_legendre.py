@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import loglegram as lg
-from loglegram import cli, legendre, oracles
-from loglegram.errors import OrderLimitError
+from loglegram import OrderLimitError, cli, legendre, oracles
 from loglegram.legendre import MonomialPoly, coeffs_exact, recurrence_sweep
 from loglegram.oracles import gauss_legendre_rule, shifted_legendre_table
 

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from loglegram import exactmoments, legendre, oracles
-from loglegram.errors import OrderLimitError
+from loglegram import OrderLimitError, exactmoments, legendre, oracles
 from loglegram.exactmoments import _Store
 from loglegram.legendre import MAX_ORDER, coeffs_exact, recurrence_sweep
 from loglegram.oracles import (
@@ -380,11 +379,12 @@ def test_verify_quad_errors_are_the_single_oracle_errors(rule, fault):
     swept = oracles._quad_gram(20, rule)
     assert np.array_equal(swept, swept.T)
     for c in _all_pairs(report):
-        exact = float(closed(c.n, c.m))
-        single = quad_entry_oracle(c.n, c.m, rule)
-        assert c.abs_err == abs(swept[c.n, c.m] - exact)
-        assert abs(swept[c.n, c.m] - single) <= 1e-15, (c.n, c.m)
-        assert _quad_close(single, exact) == c.passed == ((c.n + c.m) % 7 != 0 or fault is None)
+        n, m = c["n"], c["m"]
+        exact = float(closed(n, m))
+        single = quad_entry_oracle(n, m, rule)
+        assert c["errors"]["abs"] == abs(swept[n, m] - exact)
+        assert abs(swept[n, m] - single) <= 1e-15, (n, m)
+        assert _quad_close(single, exact) == c["passed"] == ((n + m) % 7 != 0 or fault is None)
 
 
 def test_verify_quad_peak_memory_is_the_table():
@@ -427,15 +427,16 @@ SWEEPS = {
 
 
 def _all_pairs(report):
-    """Reference: a ``PairCheck`` for every pair, read from the arrays one by one."""
-    checks = []
-    for i in range(report.num_pairs):
-        errs = (None, None)
-        if report.mode == "quad":
-            errs = (float(report.errors["abs"][i]), float(report.errors["rel"][i]))
-        n, m, passed = int(report.n[i]), int(report.m[i]), bool(report.pair_passed[i])
-        checks.append(oracles.PairCheck(n, m, passed, *errs))
-    return checks
+    """Reference: each pair's indices, outcome and errors by name, read one by one as a dict."""
+    return [
+        {
+            "n": int(report.n[i]),
+            "m": int(report.m[i]),
+            "passed": bool(report.pair_passed[i]),
+            "errors": {name: float(errors[i]) for name, errors in report.errors.items()},
+        }
+        for i in range(report.num_pairs)
+    ]
 
 
 @pytest.mark.parametrize("sweep", SWEEPS)
@@ -464,22 +465,24 @@ def test_report_summaries_are_lazy_and_match_the_checks(sweep, monkeypatch):
     # only the failing pairs are built
     assert len(built) == len(failures)
     assert num_pairs == len(checks) == (max_order + 1) * (max_order + 2) // 2
-    assert num_passed == sum(c.passed for c in checks)
-    assert passed is all(c.passed for c in checks)
-    assert failures == [c for c in checks if not c.passed]
-    for c in checks + failures:
-        assert type(c.n) is int and type(c.m) is int and type(c.passed) is bool
-        errs = (c.abs_err, c.rel_err)
-        assert all(type(e) is float for e in errs) if mode == "quad" else errs == (None, None)
+    assert num_passed == sum(c["passed"] for c in checks)
+    assert passed is all(c["passed"] for c in checks)
+    # a failure is its pair's indices alone; its errors stay in the report's arrays
+    assert failures == [pair_check(c["n"], c["m"]) for c in checks if not c["passed"]]
+    for c in failures:
+        assert type(c) is pair_check and type(c.n) is int and type(c.m) is int
+    for c in checks:
+        assert list(c["errors"]) == ([] if mode == "exact" else ["abs", "rel"])
+        assert all(type(e) is float for e in c["errors"].values())
     if mode == "exact":
         assert (report.errors, worst, worst_pair) == ({}, {}, None)
     else:
         assert list(report.errors) == list(worst) == ["abs", "rel"]
-        assert worst["abs"] == max(c.abs_err for c in checks)
-        assert worst["rel"] == max(c.rel_err for c in checks)
+        assert worst["abs"] == max(c["errors"]["abs"] for c in checks)
+        assert worst["rel"] == max(c["errors"]["rel"] for c in checks)
         assert all(type(value) is float for value in worst.values())
-        first = max(checks, key=lambda c: c.rel_err)  # the first of equal maxima
-        assert worst_pair == (first.n, first.m)
+        first = max(checks, key=lambda c: c["errors"]["rel"])  # the first of equal maxima
+        assert worst_pair == (first["n"], first["m"])
         assert type(worst_pair[0]) is int and type(worst_pair[1]) is int
 
     # the arrays every summary is read from cannot change under them
