@@ -3,7 +3,10 @@
 Subcommands: entry, gram, verify, expand-log, bilinear.  Data goes to
 stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage or input
 error, 2 verification failure, 3 numerical failure (a non-finite value
-reaching a serializer, in any format).
+to print, in any format, ``verify``'s error columns and worst values
+included).  Every value printed passes ``_json_cell``, which refuses a
+non-finite one, or, in an array, ``_finite``, which refuses the array's
+first non-finite value through it before any of the array is formatted.
 
 Integer arguments are parsed with ``int`` only; the ``check_order`` call
 that starts the library function a command reaches range-checks each one,
@@ -40,7 +43,7 @@ EXIT_USAGE = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_NUMERICAL = 3
 
-__all__ = ["main", "run"]
+__all__ = ["main"]
 
 
 class _NumericalError(Exception):
@@ -67,10 +70,13 @@ def _json_cell(value):
     return value
 
 
-def _format_value(value) -> str:
-    """The text of ``_json_cell``: "p/q" as is, floats as repr."""
-    cell = _json_cell(value)
-    return cell if isinstance(cell, str) else repr(cell)
+def _finite(values) -> np.ndarray:
+    """``values`` as a float array; ``_json_cell`` refuses its first non-finite value, row-major."""
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        _json_cell(values[~finite][0])  # raises _NumericalError
+    return values
 
 
 def _dump_json(obj) -> str:
@@ -79,30 +85,30 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
 
 
+def _one_value(fmt, value, **fields) -> tuple[str, int]:
+    """The output of a single value: its cell, or in json the fields, its mode and its cell.
+
+    The mode is read from the value: a ``Fraction`` is "exact", else "float".
+    """
+    cell = _json_cell(value)
+    if fmt == "json":
+        mode = "exact" if isinstance(value, Fraction) else "float"
+        return _dump_json({**fields, "mode": mode, "value": cell}), EXIT_OK
+    return (cell if isinstance(cell, str) else repr(cell)) + "\n", EXIT_OK
+
+
 def _cmd_entry(args) -> tuple[str, int]:
     value = exactmoments.entry(args.n, args.m, max_order=args.max_order_cap)
-    if not args.exact:
-        value = float(value)
-    if args.format == "json":
-        mode = "exact" if args.exact else "float"
-        text = _dump_json({"n": args.n, "m": args.m, "mode": mode, "value": _json_cell(value)})
-    else:
-        text = _format_value(value) + "\n"
-    return text, EXIT_OK
+    return _one_value(args.format, value if args.exact else float(value), n=args.n, m=args.m)
 
 
 def _cmd_gram(args) -> tuple[str, int]:
     build = exactmoments.gram_exact if args.exact else exactmoments.gram_float
     gram = build(args.size, max_order=args.max_order_cap)
     if args.exact:
-        rows, cell = gram.entries, _format_value
-    else:
-        values = np.asarray(gram.entries, dtype=float)
-        finite = np.isfinite(values)
-        if not finite.all():
-            first = float(values[~finite][0])  # the first in row-major order
-            raise _NumericalError(f"non-finite value {first!r} cannot be serialized")
-        rows, cell = values.tolist(), float.__repr__  # json writes floats the same way
+        rows, cell = gram.entries, _json_cell
+    else:  # json writes floats as float.__repr__ does
+        rows, cell = _finite(gram.entries).tolist(), float.__repr__
     # Both builders are exactly symmetric (the tests pin it), so only the lower
     # triangle is formatted; row n's upper part is column n of that triangle.
     lower = [list(map(cell, row[: n + 1])) for n, row in enumerate(rows)]
@@ -129,6 +135,8 @@ def _cmd_verify(args) -> tuple[str, int]:
         args.oracle,
         rule=None if args.quad_degree is None else oracles.gauss_legendre_rule(args.quad_degree),
     )
+    for errors in report.errors.values():
+        _finite(errors)
     code = EXIT_OK if report.passed else EXIT_VERIFY_FAILED
     if args.format == "json":
         payload = {
@@ -160,21 +168,16 @@ def _cmd_expand_log(args) -> tuple[str, int]:
     from . import analysis
 
     report = analysis.expansion_l2_error(args.order)
-    coeffs = [float(c) for c in report.coefficients]
+    coeffs = _finite(report.coefficients).tolist()
+    l2_error = _json_cell(report.l2_error)
     if args.format == "json":
-        text = _dump_json(
-            {
-                "order": report.order,
-                "coefficients": [_json_cell(c) for c in coeffs],
-                "l2_error": _json_cell(report.l2_error),
-            }
-        )
+        text = _dump_json({"order": report.order, "coefficients": coeffs, "l2_error": l2_error})
     elif args.format == "csv":
         text = "".join(f"{n},{c!r}\n" for n, c in enumerate(coeffs))
-        text += f"l2_error,{report.l2_error!r}\n"
+        text += f"l2_error,{l2_error!r}\n"
     else:
         text = "coefficients: " + ", ".join(repr(c) for c in coeffs) + "\n"
-        text += f"l2_error: {report.l2_error!r}\n"
+        text += f"l2_error: {l2_error!r}\n"
     return text, EXIT_OK
 
 
@@ -230,10 +233,7 @@ def _cmd_bilinear(args) -> tuple[str, int]:
             if max(map(abs, values)) > sys.float_info.max:
                 raise ValueError(f"{path}: value beyond the double range in a float form")
         gram = exactmoments.gram_float(size, max_order=args.max_order_cap)
-    value = analysis.bilinear_log_form(a, b, gram)
-    if args.format == "json":
-        return _dump_json({"mode": gram.mode, "value": _json_cell(value)}), EXIT_OK
-    return _format_value(value) + "\n", EXIT_OK
+    return _one_value(args.format, analysis.bilinear_log_form(a, b, gram))
 
 
 class _OracleNames:
@@ -354,9 +354,5 @@ def main(argv=None) -> int:
     return code
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

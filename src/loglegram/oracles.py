@@ -199,10 +199,13 @@ def _quad_kernel(span: int, rule: QuadratureRule | None = None):
     by row, the order of ``np.triu_indices``.  ``None`` selects the
     smallest exact rule, span // 2 + 1 nodes;
     the callers' order cap MAX_ORDER keeps that within MAX_QUAD_DEGREE.
-    Raises OrderLimitError, before any grid is built, when the rule is not
-    exact up to span, then ValueError for a rule not from
+    Before any rule or grid is built, raises ValueError for a ``rule``
+    that is not a ``QuadratureRule``, then OrderLimitError when the rule
+    is not exact up to span, then ValueError for a rule not from
     ``gauss_legendre_rule``, which is not known to be exact.
     """
+    if rule is not None and not isinstance(rule, QuadratureRule):
+        raise ValueError(f"rule must be a QuadratureRule or None, got {rule!r}")
     degree = span // 2 + 1 if rule is None else rule.degree
     if span > 2 * degree - 1:
         raise OrderLimitError(
@@ -438,9 +441,10 @@ def verify_range(
     other mode raises ValueError.  Both cap max_order at MAX_ORDER.
     Failures are recorded in the report, never raised.
     The quad oracle takes the smallest exact rule, max_order + 1 nodes,
-    unless ``rule`` is given, and refuses a rule too small for the span
-    or not from ``gauss_legendre_rule`` (see ``_quad_kernel``), so default
-    sweeps reach MAX_ORDER and a failed pair means a wrong closed form.
+    unless ``rule`` is given, and refuses a ``rule`` that is no
+    ``QuadratureRule``, one too small for the span, or one not from
+    ``gauss_legendre_rule`` (see ``_quad_kernel``), so default sweeps
+    reach MAX_ORDER and a failed pair means a wrong closed form.
 
     The pairs are built row by row, in ``np.tril_indices`` order.  The
     closed-form side is one Gram, ``gram_exact`` (its lower triangle read

@@ -111,7 +111,10 @@ def _per_cell_gram_text(gram, fmt):
     if fmt == "json":
         rows = [[cli._json_cell(v) for v in row] for row in gram.entries]
         return cli._dump_json({"size": gram.order, "mode": gram.mode, "entries": rows})
-    cells = [[cli._format_value(v) for v in row] for row in gram.entries]
+    if gram.mode == "exact":
+        cells = [[f"{v.numerator}/{v.denominator}" for v in row] for row in gram.entries]
+    else:
+        cells = [[repr(float(v)) for v in row] for row in gram.entries]
     if fmt == "csv":
         return "".join(",".join(row) + "\n" for row in cells)
     width = max(len(c) for row in cells for c in row)
@@ -649,6 +652,19 @@ def test_non_finite_value_is_numerical_failure(run_cli, monkeypatch, tmp_path):
                 assert "numerical failure: non-finite value nan cannot be serialized" in err
                 assert not (tmp_path / "g.txt").exists()
 
+    # an oracle's error array is refused at its first non-finite value (nan
+    # at pair 1, before inf at pair 2) in every format
+    def nan_then_inf(max_order, closed, rule, rows, cols):
+        errors = np.full(rows.size, 0.25)
+        errors[1:3] = np.nan, np.inf
+        return cols <= 1, "within a made-up bound", {"spread": errors}
+
+    monkeypatch.setitem(oracles.ORACLES, "stub", nan_then_inf)
+    for fmt in ("plain", "csv", "json"):
+        code, out, err = run_cli("verify", "--max-order", "2", "--oracle", "stub", "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: non-finite value nan cannot be serialized\n"
+
 
 def test_no_command_is_usage_error(run_cli):
     code, out, err = run_cli()
@@ -706,10 +722,17 @@ def test_closed_pipe_after_failed_verification_exits_two(run_cli, monkeypatch, t
     assert err == ""
 
 
-def test_python_dash_m_runs_the_cli(cli_process):
+def test_python_dash_m_runs_the_cli(cli_process, tmp_path):
     proc = cli_process("entry", "2", "1", stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     out, err = proc.communicate(timeout=60)
     assert (proc.returncode, out, err) == (0, b"0.25\n", b"")
+    # the exit code of a refusal and of a numerical failure reach the shell
+    huge = _write(tmp_path / "huge.txt", "1e308\n1e308\n")
+    for args, code in ((["entry", "300", "300"], 1), (["bilinear", huge, huge], 3)):
+        proc = cli_process(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (code, b"")
+        assert err
 
 
 def test_only_main_writes_stdout():

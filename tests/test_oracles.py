@@ -243,6 +243,9 @@ def test_quad_table_is_bounded_before_anything_is_built(monkeypatch):
     monkeypatch.setattr(oracles, "recurrence_sweep", unreachable)
     monkeypatch.setattr(oracles, "_cached_rule", unreachable)
     monkeypatch.setattr(np, "outer", unreachable)  # the product grid
+    # something that is not a rule
+    with pytest.raises(ValueError, match="rule must be a QuadratureRule or None, got 8"):
+        verify_range(5, "quad", rule=8)
     # a rule too small for the span
     with pytest.raises(OrderLimitError, match="exact only for n \\+ m <= 255"):
         quad_entry_oracle(128, 128, rule)
@@ -256,14 +259,26 @@ def test_quad_table_is_bounded_before_anything_is_built(monkeypatch):
         quad_entry_oracle(257, 0)
 
 
-@pytest.mark.parametrize("degree", [3, 5])
-def test_quad_refuses_a_rule_built_by_hand(degree):
-    # three nodes that are no Gauss rule: trusted as exact, they would fail
-    # right closed forms (degree 3) or index past their grid (degree 5)
-    rule = oracles.QuadratureRule(degree, np.array([-0.5, 0.0, 0.5]), np.full(3, 2 / 3))
-    with pytest.raises(ValueError, match="rule must be gauss_legendre_rule"):
+def _three_nodes(degree):
+    return oracles.QuadratureRule(degree, np.array([-0.5, 0.0, 0.5]), np.full(3, 2 / 3))
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        # three nodes that are no Gauss rule: trusted as exact, they would fail
+        # right closed forms (degree 3) or index past their grid (degree 5)
+        pytest.param(_three_nodes(3), "rule must be gauss_legendre_rule", id="3"),
+        pytest.param(_three_nodes(5), "rule must be gauss_legendre_rule", id="5"),
+        # no rule at all: a degree is not taken for one
+        pytest.param(8, "rule must be a QuadratureRule or None, got 8", id="int"),
+        pytest.param("x", "rule must be a QuadratureRule or None, got 'x'", id="str"),
+    ],
+)
+def test_quad_refuses_a_rule_built_by_hand(rule, message):
+    with pytest.raises(ValueError, match=message):
         verify_range(2, "quad", rule=rule)
-    with pytest.raises(ValueError, match="rule must be gauss_legendre_rule"):
+    with pytest.raises(ValueError, match=message):
         quad_entry_oracle(2, 1, rule)
 
 
