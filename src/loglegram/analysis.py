@@ -12,8 +12,6 @@ from __future__ import annotations
 import array
 import math
 import numbers
-import threading
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,15 +23,6 @@ from .legendre import OrderLimitError, check_order
 #: Ceiling on expansion orders, which bounds the coefficient list that
 #: ``log_expansion_coeffs`` and the expansion report carry.
 MAX_EXPANSION_ORDER = 512
-
-#: numpy's warning on reading a complex value as a real one, which drops
-#: the imaginary part: in ``np.exceptions`` from numpy 1.25, ``np`` before.
-_ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
-
-#: Held while a float form turns that warning into an error: the filters
-#: ``warnings.catch_warnings`` saves and restores are the process's, so two
-#: calls interleaved in threads could leave the error filter in place.
-_WARNINGS_LOCK = threading.Lock()
 
 __all__ = [
     "MAX_EXPANSION_ORDER",
@@ -63,7 +52,8 @@ def bilinear_log_form(a, b, gram: GramMatrix):
 
     ``a`` and ``b`` are coefficient sequences in the shifted Legendre
     basis (index n multiplies P_n(2x-1)); the shorter one is zero-padded.
-    Rational vectors (int, Fraction, numpy integers) and an exact matrix
+    The form is chosen by the coefficients' types, read once as a set:
+    rational types only (int, Fraction, numpy integers) and an exact matrix
     give a ``Fraction``: with a_n = A_n/da, b_m = B_m/db and cells p/q,
     A_n B_m p is summed in Python integers per distinct q, then over the
     lcm of the q's, with one gcd at the end (a dense 129 x 129 form has
@@ -71,9 +61,12 @@ def bilinear_log_form(a, b, gram: GramMatrix):
     summed by BLAS as a' (N b) over nonzero a_n from only the cells it
     reads: its last bits may move, within (len(a)+len(b)) eps sum |a_n b_m N_nm|.
     There each coefficient is read as a C double, so one that is not a
-    real number (None, a string, a sequence such as a matrix row, or a
-    complex value, numpy's included, even with imaginary part 0) or is
-    beyond the double range is refused with ValueError.
+    real number (None, a string, a sequence such as a matrix row) or is
+    beyond the double range is refused with ValueError, and so is, by its
+    type and before any is read, a complex value, numpy's included, even
+    with imaginary part 0, or a numpy array of any shape among the
+    coefficients.  No process-wide state is touched, so other threads run
+    as they would alone.
     """
     a = list(a)
     b = list(b)
@@ -84,7 +77,8 @@ def bilinear_log_form(a, b, gram: GramMatrix):
             f"gram matrix of order {gram.order} is too small for coefficient "
             f"vectors of lengths {len(a)} and {len(b)}"
         )
-    if gram.mode == "exact" and all(isinstance(v, numbers.Rational) for v in a + b):
+    types = {*map(type, a + b)}
+    if gram.mode == "exact" and all(issubclass(t, numbers.Rational) for t in types):
         # as Python ints: the products would overflow numpy integers
         a, b = ([(int(v.numerator), int(v.denominator)) for v in x] for x in (a, b))
         da, db = (math.lcm(*(den for _, den in x)) for x in (a, b))
@@ -98,15 +92,17 @@ def bilinear_log_form(a, b, gram: GramMatrix):
                     sums[q] = sums.get(q, 0) + p * bm * an
         common = math.lcm(*sums)
         return Fraction(sum(s * (common // q) for q, s in sums.items()), common * da * db)
+    # array would read a numpy complex as its real part, and a one-value array as that value
+    unread = {t.__name__ for t in types if issubclass(t, (complex, np.complexfloating, np.ndarray))}
+    if unread:
+        raise ValueError(f"coefficient vectors must be 1-D, of real numbers, not {sorted(unread)}")
     rows = gram.entries[: len(a)]  # an exact Gram is rounded only where the form reads it
     block = rows[:, : len(b)] if isinstance(rows, np.ndarray) else [r[: len(b)] for r in rows]
     try:  # array takes numbers only, where numpy would read None as nan and parse strings
-        with _WARNINGS_LOCK, warnings.catch_warnings():
-            warnings.simplefilter("error", _ComplexWarning)
-            x, y = np.frombuffer(array.array("d", a)), np.frombuffer(array.array("d", b))
+        x, y = np.frombuffer(array.array("d", a)), np.frombuffer(array.array("d", b))
     except OverflowError:  # an int or Fraction past the largest double
         raise ValueError("a coefficient is beyond the double range in a float form") from None
-    except (TypeError, _ComplexWarning) as exc:  # None, a string, bytes, a sequence, a complex
+    except TypeError as exc:  # None, a string, bytes, a sequence
         raise ValueError(f"coefficient vectors must be 1-D, of real numbers: {exc}") from None
     # b's zeros add exact zeros to the row sums N b (|N| <= 1); a's zeros are
     # skipped, since a row sum may overflow and 0 * inf would be nan

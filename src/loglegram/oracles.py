@@ -23,10 +23,12 @@ Two oracles, sharing no formula with :mod:`loglegram.exactmoments`:
   The pairs (i, j) and (j, i) give the same node x_i x_j, so the d**2
   products fold onto d(d+1)/2 nodes, the off-diagonal weights doubled.
   Without an explicit rule the oracle takes the smallest exact one, up to
-  MAX_QUAD_DEGREE nodes, which covers every pair up to MAX_ORDER; a rule
-  that cannot cover a request is refused with OrderLimitError before
-  anything is built, and one not from ``gauss_legendre_rule`` with
-  ValueError, so a quad failure only ever means a wrong closed form.
+  MAX_QUAD_DEGREE nodes, which covers every pair up to MAX_ORDER.  A rule
+  is judged by its type: one from ``gauss_legendre_rule``, or a copy or
+  pickle of one, is read only for its degree, and one built by hand is
+  refused with ValueError; a rule that cannot cover a request is refused
+  with OrderLimitError.  Both refusals come before anything is built, so a
+  quad failure only ever means a wrong closed form.
 
 ``verify_range`` compares the closed-form Gram from ``exactmoments``
 against an oracle of the table ``ORACLES`` on all pairs at once and
@@ -46,7 +48,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import reprlib
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -144,12 +147,16 @@ class QuadratureRule:
     positive, symmetric and sum to 2.  A rule of this degree integrates
     polynomials of degree <= 2*degree - 1 exactly, so the product rule
     built from it gives N[n, m] exactly, up to rounding, for
-    n + m <= 2*degree - 1.
+    n + m <= 2*degree - 1.  The quad oracle takes only rules that
+    ``gauss_legendre_rule`` built, and their copies, and reads them for
+    their degree alone.
     """
 
     degree: int
     nodes: np.ndarray
     weights: np.ndarray
+    # set by ``gauss_legendre_rule`` alone; copies and pickles keep it
+    _gauss: bool = field(default=False, repr=False, compare=False)
 
 
 def gauss_legendre_rule(degree: int) -> QuadratureRule:
@@ -173,7 +180,7 @@ def _cached_rule(degree: int) -> QuadratureRule:
     nodes, weights = leggauss(degree)
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return QuadratureRule(degree=degree, nodes=nodes, weights=weights)
+    return QuadratureRule(degree=degree, nodes=nodes, weights=weights, _gauss=True)
 
 
 def shifted_legendre_table(x: np.ndarray, n_max: int) -> np.ndarray:
@@ -199,23 +206,22 @@ def _quad_kernel(span: int, rule: QuadratureRule | None = None):
     by row, the order of ``np.triu_indices``.  ``None`` selects the
     smallest exact rule, span // 2 + 1 nodes;
     the callers' order cap MAX_ORDER keeps that within MAX_QUAD_DEGREE.
-    Before any rule or grid is built, raises ValueError for a ``rule``
-    that is not a ``QuadratureRule``, then OrderLimitError when the rule
-    is not exact up to span, then ValueError for a rule not from
-    ``gauss_legendre_rule``, which is not known to be exact.
+    A given ``rule`` is read only for its degree, and the nodes and weights
+    always come from ``gauss_legendre_rule(degree)``.  Before any rule or
+    grid is built, raises ValueError for a ``rule`` that
+    ``gauss_legendre_rule`` did not build (a copy or pickle of one it did
+    is taken), which is not known to be exact, then OrderLimitError when
+    the rule is not exact up to span.
     """
-    if rule is not None and not isinstance(rule, QuadratureRule):
-        raise ValueError(f"rule must be a QuadratureRule or None, got {rule!r}")
+    if rule is not None and not (isinstance(rule, QuadratureRule) and rule._gauss):
+        raise ValueError(f"rule must be gauss_legendre_rule(degree) or None, got {reprlib.repr(rule)}")
     degree = span // 2 + 1 if rule is None else rule.degree
     if span > 2 * degree - 1:
         raise OrderLimitError(
             f"the {degree}-node product rule is exact only for n + m <= {2 * degree - 1}; "
             f"n + m up to {span} needs {span // 2 + 1} nodes"
         )
-    if rule is None:
-        rule = gauss_legendre_rule(degree)
-    elif rule is not gauss_legendre_rule(degree):
-        raise ValueError(f"rule must be gauss_legendre_rule({degree}), not a rule built by hand")
+    rule = gauss_legendre_rule(degree)
     x = 0.5 * (1.0 + rule.nodes)
     w = 0.5 * rule.weights
     index = np.arange(degree)
@@ -438,13 +444,14 @@ def verify_range(
     which it cannot honour, raises ValueError); "quad" accepts relative
     deviation <= QUAD_REL_TOL, or absolute deviation <= QUAD_ABS_TOL once
     the value underflows that scale, and reports both as ``errors``.  Any
-    other mode raises ValueError.  Both cap max_order at MAX_ORDER.
-    Failures are recorded in the report, never raised.
-    The quad oracle takes the smallest exact rule, max_order + 1 nodes,
-    unless ``rule`` is given, and refuses a ``rule`` that is no
-    ``QuadratureRule``, one too small for the span, or one not from
-    ``gauss_legendre_rule`` (see ``_quad_kernel``), so default sweeps
-    reach MAX_ORDER and a failed pair means a wrong closed form.
+    other mode, an unhashable one included, raises ValueError.  Both cap
+    max_order at MAX_ORDER.  Failures are recorded in the report, never
+    raised.  The quad oracle takes the smallest exact rule, max_order + 1
+    nodes, unless ``rule`` is given.  It reads a given rule only for its
+    degree, and refuses one that ``gauss_legendre_rule`` did not build, by
+    its type, or one too small for the span (see ``_quad_kernel``), so
+    default sweeps reach MAX_ORDER and a failed pair means a wrong closed
+    form.
 
     The pairs are built row by row, in ``np.tril_indices`` order.  The
     closed-form side is one Gram, ``gram_exact`` (its lower triangle read
@@ -467,7 +474,7 @@ def verify_range(
     exact mode it must return rationals (``numerator``/``denominator``),
     and in quad mode its values are rounded as ``float`` rounds them.
     """
-    if mode not in ORACLES:
+    if mode not in tuple(ORACLES):  # a tuple, so an unhashable mode is refused too
         raise ValueError(f"mode must be {' or '.join(map(repr, ORACLES))}, got {mode!r}")
     max_order = check_order(max_order, name="max_order")
 

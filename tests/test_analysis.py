@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -371,6 +372,57 @@ def test_complex_refusal_leaves_the_warning_filters_as_found():
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     assert warnings.filters == before
+
+
+@pytest.mark.parametrize("build", [gram_exact, gram_float])
+def test_float_form_refuses_array_elements_and_reads_other_real_types(build):
+    # an array among the coefficients is refused by its type, of any shape:
+    # a real 0-d one, or one of one value, was once read as that value
+    for bad in ([np.array(1 + 2j)], [np.array(0.5)], [np.array([0.5])]):
+        for a, b in ((bad, [1, 1]), ([1, 1], bad)):
+            with pytest.raises(ValueError, match="coefficient vectors must be 1-D, of real numbers"):
+                bilinear_log_form(a, b, build(1))
+    # numpy's bool and Decimal are real numbers, read as doubles
+    assert bilinear_log_form([np.bool_(True)], [1], build(1)) == -1.0
+    assert bilinear_log_form([Decimal("1.5")], [1], build(1)) == -1.5
+
+
+def test_float_forms_leave_other_threads_warnings_as_set():
+    # a float form once turned numpy's ComplexWarning into an error for the
+    # whole process while it read its coefficients, so a cast in another
+    # thread raised the warning the application had set to "ignore"
+    complex_warning = getattr(np, "exceptions", np).ComplexWarning
+    gram = gram_float(1)
+    done = threading.Event()
+    raised = []
+
+    def forms():
+        while not done.is_set():
+            bilinear_log_form([1.0, 2.0], [0.5, 1.5], gram)
+
+    def casts():
+        for _ in range(5000):
+            try:
+                np.array([1 + 1j]).astype(float)
+            except complex_warning:
+                raised.append("ComplexWarning")
+
+    switch = sys.getswitchinterval()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", complex_warning)
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=forms), threading.Thread(target=casts)]
+            for thread in threads:
+                thread.start()
+            threads[1].join(timeout=60)
+            done.set()
+            threads[0].join(timeout=60)
+        finally:
+            done.set()
+            sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert raised == []
 
 
 def test_l2_error_matches_telescoped_tail():

@@ -1,11 +1,14 @@
 import ast
+import copy
 import importlib
 import inspect
 import math
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -244,7 +247,7 @@ def test_quad_table_is_bounded_before_anything_is_built(monkeypatch):
     monkeypatch.setattr(oracles, "_cached_rule", unreachable)
     monkeypatch.setattr(np, "outer", unreachable)  # the product grid
     # something that is not a rule
-    with pytest.raises(ValueError, match="rule must be a QuadratureRule or None, got 8"):
+    with pytest.raises(ValueError, match=r"rule must be gauss_legendre_rule\(degree\) or None, got 8"):
         verify_range(5, "quad", rule=8)
     # a rule too small for the span
     with pytest.raises(OrderLimitError, match="exact only for n \\+ m <= 255"):
@@ -271,8 +274,8 @@ def _three_nodes(degree):
         pytest.param(_three_nodes(3), "rule must be gauss_legendre_rule", id="3"),
         pytest.param(_three_nodes(5), "rule must be gauss_legendre_rule", id="5"),
         # no rule at all: a degree is not taken for one
-        pytest.param(8, "rule must be a QuadratureRule or None, got 8", id="int"),
-        pytest.param("x", "rule must be a QuadratureRule or None, got 'x'", id="str"),
+        pytest.param(8, r"rule must be gauss_legendre_rule\(degree\) or None, got 8", id="int"),
+        pytest.param("x", r"rule must be gauss_legendre_rule\(degree\) or None, got 'x'", id="str"),
     ],
 )
 def test_quad_refuses_a_rule_built_by_hand(rule, message):
@@ -280,6 +283,62 @@ def test_quad_refuses_a_rule_built_by_hand(rule, message):
         verify_range(2, "quad", rule=rule)
     with pytest.raises(ValueError, match=message):
         quad_entry_oracle(2, 1, rule)
+
+
+def test_every_rule_from_gauss_legendre_rule_is_accepted_under_threads():
+    # the oracle once trusted only the very object in the rule cache, so a
+    # rule from a first call that raced another one's was refused as built
+    # by hand
+    oracles._cached_rule.cache_clear()
+    degrees = range(1, oracles.MAX_QUAD_DEGREE + 1, 4)
+    results = []
+
+    def check(degree):
+        try:
+            results.append(verify_range(0, "quad", rule=gauss_legendre_rule(degree)).passed)
+        except ValueError as exc:
+            results.append(f"{degree}: {exc}"[:80])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for degree in degrees:
+            threads = [threading.Thread(target=check, args=(degree,)) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert results == [True] * (4 * len(degrees))
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda rule: pickle.loads(pickle.dumps(rule))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_of_a_rule_are_accepted(duplicate):
+    rule = gauss_legendre_rule(16)
+    twin = duplicate(rule)
+    assert twin is not rule and repr(twin) == repr(rule)
+    expected = verify_range(15, "quad", rule=rule)
+    assert np.array_equal(verify_range(15, "quad", rule=twin).errors["abs"], expected.errors["abs"])
+    assert quad_entry_oracle(20, 11, twin) == quad_entry_oracle(20, 11, rule)
+
+
+def test_a_rule_is_read_only_for_its_degree():
+    # a deep copy owns writable arrays; overwriting them changes no result
+    rule = gauss_legendre_rule(16)
+    twin = copy.deepcopy(rule)
+    twin.nodes[:] = 0.0
+    twin.weights[:] = 1.0
+    expected = verify_range(15, "quad", rule=rule)
+    report = verify_range(15, "quad", rule=twin)
+    assert report.passed and report.num_pairs == 136
+    assert np.array_equal(report.errors["abs"], expected.errors["abs"])
+    assert quad_entry_oracle(20, 11, twin) == quad_entry_oracle(20, 11, rule)
 
 
 def test_quad_gram_in_node_chunks_is_the_one_chunk_gram(monkeypatch):
@@ -574,6 +633,9 @@ def test_verify_caps():
         verify_range(257, "quad")
     with pytest.raises(ValueError):
         verify_range(5, "fancy")
+    # an unhashable mode is no mode either, not a TypeError
+    with pytest.raises(ValueError, match="mode must be 'exact' or 'quad', got \\['exact'\\]"):
+        verify_range(3, ["exact"])
 
 
 def test_verify_exact_refuses_quad_settings():
