@@ -10,10 +10,14 @@ which equals -2 (H_2n - H_n) - 1/(2n+1) with H_k = sum_{j<=k} 1/j.
 One generator derives the diagonal: the harmonic form at the first index
 asked for, the running sum at each one after it.  Both closed forms are
 evaluated in exact rational arithmetic; the floating variants are
-correctly rounded from the exact values.  An off-diagonal entry is +-1
-over an integer below 2**53, and IEEE division of two exactly
-representable integers is correctly rounded, so the float Gram divides
-in numpy and needs rational arithmetic only for its diagonal.
+correctly rounded from the exact values.  Off the diagonal the signed
+divisor (-1)**(n+m+1) |n-m| (n+m+1) is a Toeplitz factor times a Hankel
+factor, both exact integers; in a Gram of order k their product is at
+most k (2k + 1) < 2**53 in magnitude, so exact as a double.  IEEE
+division is correctly rounded and sign-symmetric, so its reciprocal is
+float(Fraction) of the entry.  The float Gram takes that reciprocal in
+numpy, overwrites the diagonal's +-inf, and needs rational arithmetic
+only for its diagonal.
 
 No closed form depends on the matrix size, so the Gram of order k is the
 leading block of every larger one.  The module keeps three stores, the
@@ -25,9 +29,12 @@ arrays, float(N[n, m]) up to ``MAX_ORDER`` (257**2 doubles, about 516
 KiB) and, with no cap, float(N[n, n]) beside float((2n+1) N[n, n]) (16
 bytes per n).  Exact diagonal values are kept only as cells of the rows.
 A store that does not cover a request is grown under one lock: a new
-table is built from the old one, only the new values computed, and
-published by one assignment, so no caller sees a half-grown table.  A
-request past a store's cap is built from its current table and not kept.
+table is built and published by one assignment, so no caller sees a
+half-grown table.  The exact rows and the float diagonal are built from
+the old table, only their new values computed; the float Gram rebuilds
+every off-diagonal cell, and only its diagonal comes incrementally,
+from the float diagonal store.  A request past a store's cap is built
+from its current table and not kept.
 """
 
 from __future__ import annotations
@@ -137,23 +144,25 @@ def diag_scaling_table(max_order: int) -> list:
 
 
 def _float_values(size: int) -> np.ndarray:
-    """A new (size+1) x (size+1) float64 array of float(N[n, m]), built in place.
+    """A new (size+1) x (size+1) float64 array of float(N[n, m]).
 
-    Off the diagonal the divisor |n-m| (n+m+1) is |t_n - t_m| with
-    t_k = k (k+1), at most size * (2*size + 1): an integer below 2**53,
-    so exact as a double.  IEEE division of exact operands is correctly
-    rounded and sign-symmetric, so -(-1)**n / |t_n - t_m|, times
-    (-1)**m, equals float(Fraction) of the exact entry.  The diagonal is
-    a sum, so it is copied from the float diagonal store.
+    The signed divisor (-1)**(n+m+1) |n-m| (n+m+1) is one product of a
+    Toeplitz factor |n-m| and a Hankel factor (-1)**(n+m+1) (n+m+1),
+    each a sliding window over a vector of 2*size + 1 integers.  Every
+    product is an integer of magnitude at most size * (2*size + 1) <
+    2**53, so exact as a double, and IEEE division is correctly rounded
+    and sign-symmetric: its reciprocal equals float(Fraction) of the
+    exact entry.  The diagonal's divisor is 0, so its reciprocal is
+    +-inf, overwritten by the float diagonal store, since the diagonal
+    is a sum.
     """
-    index = np.arange(size + 1, dtype=np.float64)
-    t = index * (index + 1)
-    values = np.subtract.outer(t, t)
-    np.abs(values, out=values)
-    parity = np.where(index % 2, -1.0, 1.0)
+    k = np.arange(2 * size + 1, dtype=np.float64)
+    dist = np.abs(k - size)  # dist[size - n + m] = |n-m|, reversed on rows
+    span = np.where(k % 2, 1.0, -1.0) * (k + 1)  # span[n + m] = (-1)**(n+m+1) (n+m+1)
+    window = np.lib.stride_tricks.sliding_window_view
+    values = window(dist, size + 1)[::-1] * window(span, size + 1)
     with np.errstate(divide="ignore"):
-        np.divide(-parity[:, None], values, out=values)
-    values *= parity
+        np.divide(1.0, values, out=values)
     np.fill_diagonal(values, _float_diagonal.covering(size)[: size + 1, 0])
     return values
 

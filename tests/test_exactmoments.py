@@ -127,6 +127,30 @@ def test_gram_float_is_bit_identical_to_rounded_exact_gram(size, float_reference
     assert _same_bits(gram.entries, float_reference[: size + 1, : size + 1])
 
 
+def test_gram_float_past_the_reference_order_matches_single_entries():
+    # float_reference stops at 1024; past it, rows, columns, diagonal and
+    # seeded cells are checked one by one against the rounded exact entry
+    size = 2048
+    gram = gram_float(size, max_order=size)
+    entries = gram.entries
+    assert (gram.order, entries.shape, entries.dtype) == (size, (size + 1, size + 1), np.float64)
+    assert entries.flags.writeable and entries.flags.owndata
+    assert np.array_equal(entries, entries.T)
+    rng = random.Random(2048)
+    edges = [(0, m) for m in range(size + 1)] + [(n, 0) for n in range(1, size + 1)]
+    edges += [(size, m) for m in range(1, size + 1)]
+    diagonal = [(n, n) for n in rng.sample(range(size + 1), 20)]
+    seeded = [(rng.randrange(size + 1), rng.randrange(size + 1)) for _ in range(1000)]
+    cells = edges + diagonal + seeded
+    rows, cols = np.transpose(cells)
+    expected = np.array([float(entry(n, m, max_order=size)) for n, m in cells])
+    assert _same_bits(entries[rows, cols], expected)
+    entries[:] = 0.0  # the array is the caller's: a second build is whole
+    again = gram_float(size, max_order=size).entries
+    assert not np.shares_memory(again, entries)
+    assert _same_bits(again[rows, cols], expected)
+
+
 def test_builders_are_exactly_symmetric():
     # the CLI formats the lower triangle only and mirrors it, so both
     # builders must give N[n, m] and N[m, n] as the very same value
