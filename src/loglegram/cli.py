@@ -105,13 +105,21 @@ def _cmd_entry(args) -> tuple[str, int]:
 def _cmd_gram(args) -> tuple[str, int]:
     build = exactmoments.gram_exact if args.exact else exactmoments.gram_float
     gram = build(args.size, max_order=args.max_order_cap)
-    if args.exact:
-        rows, cell = gram.entries, _json_cell
-    else:  # json writes floats as float.__repr__ does
-        rows, cell = _finite(gram.entries).tolist(), float.__repr__
     # Both builders are exactly symmetric (the tests pin it), so only the lower
     # triangle is formatted; row n's upper part is column n of that triangle.
-    lower = [list(map(cell, row[: n + 1])) for n, row in enumerate(rows)]
+    if args.exact:
+        lower = [list(map(_json_cell, row[: n + 1])) for n, row in enumerate(gram.entries)]
+    else:
+        # |N[n, m]| = 1/(t_n - t_m) with t_k = k(k+1) repeats, so each distinct
+        # magnitude is written once with float.__repr__ (json's float text) and
+        # a cell is that text, with "-" before it where its sign bit is set.
+        values = _finite(gram.entries)
+        cells = values[np.tril_indices(len(values))]
+        magnitudes, index = np.unique(np.abs(cells), return_inverse=True)
+        texts = list(map(float.__repr__, magnitudes.tolist()))
+        texts = np.array(texts + ["-" + text for text in texts], dtype=object)
+        flat = texts[index + magnitudes.size * np.signbit(cells)].tolist()
+        lower = [flat[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2] for n in range(len(values))]
     if args.format == "plain":
         width = max(max(map(len, row)) for row in lower)
         lower = [list(map(str.rjust, row, itertools.repeat(width))) for row in lower]

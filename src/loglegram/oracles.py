@@ -421,14 +421,6 @@ class VerificationReport:
     def worst(self) -> dict:
         return {name: float(errors.max()) for name, errors in self.errors.items()}
 
-    @property
-    def worst_pair(self) -> tuple[int, int] | None:
-        """(n, m) of the largest ``errors["rel"]`` (the first such pair), None without one."""
-        if "rel" not in self.errors:
-            return None
-        worst = int(self.errors["rel"].argmax())
-        return int(self.n[worst]), int(self.m[worst])
-
 
 def verify_range(
     max_order: int,

@@ -123,13 +123,17 @@ def _per_cell_gram_text(gram, fmt):
 
 @pytest.mark.parametrize(
     "size, exact",
-    [(size, False) for size in (0, 1, 2, 7, 64, 192)] + [(size, True) for size in (0, 1, 2, 7, 64)],
+    [(size, False) for size in (0, 1, 2, 7, 64, 192, 300)]
+    + [(size, True) for size in (0, 1, 2, 7, 64)],
 )
 def test_gram_output_matches_per_cell_reference(run_cli, tmp_path, size, exact):
     build = exactmoments.gram_exact if exact else exactmoments.gram_float
     flags = ["--exact"] if exact else []
+    cap = {}
+    if size > exactmoments.MAX_ORDER:  # past the store: a fresh _float_values build
+        flags, cap = flags + ["--max-order-cap", str(size)], {"max_order": size}
     for fmt in ("plain", "csv", "json"):
-        expected = _per_cell_gram_text(build(size), fmt)
+        expected = _per_cell_gram_text(build(size, **cap), fmt)
         code, out, err = run_cli("gram", str(size), *flags, "--format", fmt)
         assert (code, err) == (0, "")
         assert out == expected
@@ -137,6 +141,30 @@ def test_gram_output_matches_per_cell_reference(run_cli, tmp_path, size, exact):
         code, out, _ = run_cli("gram", str(size), *flags, "--format", fmt, "--out", str(target))
         assert (code, out) == (0, "")
         assert target.read_text(encoding="utf-8") == expected
+
+
+# Lower triangle: 0.5 with both signs, 0.0 and -0.0, -0.25 beside 0.25, and
+# the longest text (18 characters) only with a + sign, so the plain width is
+# that of the cells printed, not of "-" + the longest magnitude.
+_SIGNED_LOWER = [
+    [-0.5],
+    [0.5, 0.0],
+    [-0.0, 0.1234567891234567, -0.25],
+    [0.25, -1e-05, 1e-05, -0.5],
+]
+
+
+def test_gram_signed_magnitudes_match_per_cell_reference(run_cli, monkeypatch):
+    entries = [
+        [_SIGNED_LOWER[max(n, m)][min(n, m)] for m in range(len(_SIGNED_LOWER))]
+        for n in range(len(_SIGNED_LOWER))
+    ]
+    gram = GramMatrix(3, "float", entries)
+    monkeypatch.setattr(exactmoments, "gram_float", lambda size, **kwargs: gram)
+    for fmt in ("plain", "csv", "json"):
+        assert run_cli("gram", "3", "--format", fmt) == (0, _per_cell_gram_text(gram, fmt), "")
+    code, out, _ = run_cli("gram", "3")
+    assert out.splitlines()[0] == "              -0.5                 0.5                -0.0                0.25"
 
 
 def test_entry_matches_gram_cell(run_cli):
@@ -362,7 +390,7 @@ def test_verify_formats_any_oracle_from_its_report(run_cli, monkeypatch, stub):
     check, criterion, worst, csv_lines, worst_text = STUB_ORACLES[stub]
     monkeypatch.setitem(oracles.ORACLES, "stub", check)
     report = oracles.verify_range(2, "stub")
-    assert (report.criterion, report.worst, report.worst_pair) == (criterion, worst, None)
+    assert (report.criterion, report.worst) == (criterion, worst)
     assert report.failures == [oracles.PairCheck(2, 2)]
 
     argv = ("verify", "--max-order", "2", "--oracle", "stub", "--format")
