@@ -107,22 +107,28 @@ def _cmd_gram(args) -> tuple[str, int]:
     gram = build(args.size, max_order=args.max_order_cap)
     # Both builders are exactly symmetric (the tests pin it), so only the lower
     # triangle is formatted; row n's upper part is column n of that triangle.
+    # The lower triangle, row by row, is texts[codes].
     if args.exact:
-        lower = [list(map(_json_cell, row[: n + 1])) for n, row in enumerate(gram.entries)]
+        texts = [_json_cell(p) for n, row in enumerate(gram.entries) for p in row[: n + 1]]
+        texts = np.array(texts, dtype=object)
+        codes = np.arange(texts.size)
     else:
         # |N[n, m]| = 1/(t_n - t_m) with t_k = k(k+1) repeats, so each distinct
         # magnitude is written once with float.__repr__ (json's float text) and
         # a cell is that text, with "-" before it where its sign bit is set.
-        values = _finite(gram.entries)
-        cells = values[np.tril_indices(len(values))]
+        cells = _finite(gram.entries)[np.tril_indices(gram.order + 1)]
         magnitudes, index = np.unique(np.abs(cells), return_inverse=True)
         texts = list(map(float.__repr__, magnitudes.tolist()))
         texts = np.array(texts + ["-" + text for text in texts], dtype=object)
-        flat = texts[index + magnitudes.size * np.signbit(cells)].tolist()
-        lower = [flat[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2] for n in range(len(values))]
+        codes = index + magnitudes.size * np.signbit(cells)
     if args.format == "plain":
-        width = max(max(map(len, row)) for row in lower)
-        lower = [list(map(str.rjust, row, itertools.repeat(width))) for row in lower]
+        # each text printed is right-aligned once, to the widest text printed
+        shown = np.zeros(texts.size, dtype=bool)
+        shown[codes] = True
+        printed = texts[shown].tolist()
+        texts[shown] = list(map(str.rjust, printed, itertools.repeat(max(map(len, printed)))))
+    flat = texts[codes].tolist()
+    lower = [flat[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2] for n in range(gram.order + 1)]
     columns = itertools.zip_longest(*lower)
     cells = [row + list(column[n + 1 :]) for n, (row, column) in enumerate(zip(lower, columns))]
     if args.format == "json":

@@ -6,8 +6,11 @@ recurrence
 
     (k+1) P_{k+1}(t) = (2k+1) t P_k(t) - k P_{k-1}(t),    P_0 = 1, P_1 = t,
 
-run on floats, Fractions or arrays.  Exact integer coefficients in the
-monomial basis of x come from the closed binomial sum
+run on floats, Fractions or arrays by ``recurrence_sweep``.  The quad
+sweep of ``oracles`` runs the same recurrence in its own division-free,
+weighted form, in place on its table, so its values agree with the
+generator's to rounding, not bit for bit.  Exact integer coefficients in
+the monomial basis of x come from the closed binomial sum
 
     P_n(2x-1) = sum_{k=0..n} (-1)**(n+k) C(n, k) C(n+k, k) x**k,
 
@@ -97,9 +100,10 @@ class MonomialPoly:
 def recurrence_sweep(n_max, x):
     """Yield P_0(2x-1), ..., P_{n_max}(2x-1) by the forward recurrence.
 
-    This is the package's one floating recurrence loop: the quadrature
-    oracle's single pairs and its table both consume it, so their values
-    agree bit for bit.  ``x`` may be a float, a Fraction or a float
+    The quadrature oracle's single pairs and ``shifted_legendre_table``
+    consume it, and it is the tests' reference for the quad sweep's
+    division-free table (``oracles._weighted_table``), which agrees with it
+    to rounding only.  ``x`` may be a float, a Fraction or a float
     ndarray, on which each step is computed in place in one new array (an
     integer array is refused by the in-place division); exact input gives
     exact values, and |P_n| <= 1 holds only on [0, 1].

@@ -35,13 +35,17 @@ against an oracle of the table ``ORACLES`` on all pairs at once and
 reports per-pair results as arrays: the exact oracle's sums for every
 pair come from that sweep over the lower triangle, in report order,
 about max_order**2 / 2 integer steps, with no state kept; the quadrature
-for every pair from symmetric products of the weighted recurrence table
-with itself, summed over node chunks so that the table stays bounded in
-memory at any order.  Each oracle returns the per-pair outcomes, the
-``criterion`` they were judged by and its per-pair ``errors`` by name
-("abs" and "rel" for the quad oracle, none for the exact one); the
-report keeps all three and reads its ``worst`` errors from them, and
-names a failing pair by its indices alone.
+for every pair from symmetric products of the weighted table
+s P_k(2y-1) with itself, summed over node chunks so that the table stays
+bounded in memory at any order.  Each chunk's table is written in place
+by a division-free form of the recurrence with the weights s seeded into
+its first rows (``_weighted_table``), so it matches
+``shifted_legendre_table`` times s to rounding, not bit for bit.  Each
+oracle returns the per-pair outcomes, the ``criterion`` they were judged
+by and its per-pair ``errors`` by name ("abs" and "rel" for the quad
+oracle, none for the exact one); the report keeps all three and reads its
+``worst`` errors from them, and names a failing pair by its indices
+alone.
 """
 
 from __future__ import annotations
@@ -246,13 +250,47 @@ def quad_entry_oracle(n: int, m: int, rule: QuadratureRule | None = None) -> flo
     return -float(rows[0] @ rows[-1])  # one row, squared, when n == m
 
 
+def _weighted_table(y: np.ndarray, s: np.ndarray, n_max: int) -> np.ndarray:
+    """Rows s P_k(2y-1), k <= n_max, written in place by a division-free recurrence.
+
+    Row 0 is s, row 1 is t s with t = 2y - 1, and
+
+        row k+1 = (alpha_k t) row k - beta_k row k-1,
+        alpha_k = (2k+1)/(k+1),  beta_k = k/(k+1),
+
+    with alpha_k and beta_k rounded to doubles: the recurrence of
+    ``recurrence_sweep`` with its division folded into the coefficients
+    and the weight s seeded into the first two rows, so that each step
+    writes its own row through one scratch row, with no division, no new
+    array and no weighting pass.  The values differ from
+    ``shifted_legendre_table(y, n_max) * s`` in the last bits only: the
+    forward recurrence is stable on [0, 1] (Gautschi, SIAM Rev. 9, 1967),
+    where |P_k| <= 1, and each step adds a few rounding errors, the two
+    coefficients' included, of size u = 2**-53 relative to s; the tests
+    hold row k to (k+1)**2 u s of that reference.
+    """
+    table = np.empty((n_max + 1, y.size))
+    scratch = np.empty(y.size)
+    t = 2 * y - 1
+    table[0] = s
+    if n_max:
+        np.multiply(t, s, out=table[1])
+    for k in range(1, n_max):
+        np.multiply(t, (2 * k + 1) / (k + 1), out=scratch)
+        np.multiply(scratch, table[k], out=table[k + 1])
+        np.multiply(table[k - 1], k / (k + 1), out=scratch)
+        np.subtract(table[k + 1], scratch, out=table[k + 1])
+    return table
+
+
 def _quad_gram(n_max: int, rule: QuadratureRule | None) -> np.ndarray:
     """N[n, m] by quadrature for all n, m <= n_max, as one exactly symmetric array.
 
     The rule must be exact up to n + m = 2 * n_max.  Q = -sum(B_c @ B_c.T)
-    over chunks c of the nodes, B_c the recurrence table on the chunk,
-    weighted by s in place, of at most _QUAD_CHUNK_CELLS cells; each table
-    is freed before the next is built.  numpy hands the product of an
+    over chunks c of the nodes, B_c the weighted table s P_k(2y-1) of the
+    chunk, of at most _QUAD_CHUNK_CELLS cells, each row written in place by
+    the division-free recurrence of ``_weighted_table``; each table is
+    freed before the next is built.  numpy hands the product of an
     array with its own transpose to a symmetric BLAS product (syrk), which
     makes no copy of the table and mirrors one triangle onto the other.
     A sweep that fits one chunk is therefore one such product.
@@ -261,8 +299,7 @@ def _quad_gram(n_max: int, rule: QuadratureRule | None) -> np.ndarray:
     step = _QUAD_CHUNK_CELLS // (n_max + 1)
     products = None
     for start in range(0, y.size, step):
-        table = shifted_legendre_table(y[start : start + step], n_max)
-        table *= s[start : start + step]
+        table = _weighted_table(y[start : start + step], s[start : start + step], n_max)
         chunk = table @ table.T
         del table
         products = chunk if products is None else np.add(products, chunk, out=products)
@@ -452,10 +489,12 @@ def verify_range(
     in report order, from the x d/dx identity, which uses neither the log
     moments nor the unsigned monomial products of ``exact_entry_oracle``
     (see ``_exact_sums``), the quad oracle in one symmetric product per
-    node chunk of its table (see ``_quad_gram``).  Exact pairs are
-    compared by cross-multiplication.
+    node chunk of its weighted table s P_k(2y-1), built in place by a
+    division-free recurrence (see ``_quad_gram`` and ``_weighted_table``).
+    Exact pairs are compared by cross-multiplication.
     With the same rule, the quad sweep sums in another order than
-    ``quad_entry_oracle``, so the two agree to within a few ulps of
+    ``quad_entry_oracle``, on table rows that agree with that oracle's
+    rows to rounding only, so the two agree to within a few ulps of
     |N| <= 1, not bit for bit; by default they also take rules of
     different sizes.  The report holds the per-pair results as arrays and
     builds ``PairCheck`` objects only when asked.

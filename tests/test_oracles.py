@@ -347,18 +347,71 @@ def test_quad_gram_in_node_chunks_is_the_one_chunk_gram(monkeypatch):
     whole = oracles._quad_gram(40, None)
     report = verify_range(40, "quad")
     tables = []
+    build = oracles._weighted_table
 
-    def counted(x, n_max):
-        tables.append(x.size)
-        return shifted_legendre_table(x, n_max)
+    def counted(y, s, n_max):
+        tables.append(y.size)
+        return build(y, s, n_max)
 
     monkeypatch.setattr(oracles, "_QUAD_CHUNK_CELLS", 2**10)
-    monkeypatch.setattr(oracles, "shifted_legendre_table", counted)
+    monkeypatch.setattr(oracles, "_weighted_table", counted)
     chunked = oracles._quad_gram(40, None)
     assert len(tables) == 36 and max(tables) == 24 and sum(tables) == 861
     assert np.array_equal(chunked, chunked.T)
     assert np.abs(chunked - whole).max() <= 1e-15
     assert np.array_equal(verify_range(40, "quad").pair_passed, report.pair_passed)
+
+
+def _assert_within_reference_table(table, y, s):
+    # row k within (k+1)**2 u s of the generator's row times s, u = 2**-53;
+    # rows 0 and 1, s and t s, are the same products bit for bit
+    n_max = table.shape[0] - 1
+    reference = shifted_legendre_table(y, n_max) * s
+    assert table.shape == reference.shape
+    assert np.array_equal(table[:2], reference[:2])
+    bound = (np.arange(n_max + 1)[:, None] + 1) ** 2 * 2.0**-53 * s
+    assert np.all(np.abs(table - reference) <= bound), n_max
+
+
+@pytest.mark.parametrize(
+    "n_max, degree", [(0, 128), (1, 128), (2, 128), (40, 128), (127, 128), (256, None)]
+)
+def test_weighted_table_is_the_reference_table_weighted(n_max, degree):
+    # the sweep's division-free table on the nodes and weights of its rule,
+    # in slices of at most 8,192 nodes: each column is its own recurrence
+    rule = None if degree is None else gauss_legendre_rule(degree)
+    y, s = oracles._quad_kernel(2 * n_max, rule)
+    for start in range(0, y.size, 8192):
+        part = slice(start, start + 8192)
+        table = oracles._weighted_table(y[part], s[part], n_max)
+        _assert_within_reference_table(table, y[part], s[part])
+
+
+def test_weighted_table_across_chunk_seams(monkeypatch):
+    # 2**10 cells cut the 861 nodes of the 41-node rule into chunks of 24;
+    # side by side, the chunks are the one-chunk table bit for bit, and the
+    # sweep never calls the generator
+    build = oracles._weighted_table
+    chunks = []
+
+    def kept(y, s, n_max):
+        table = build(y, s, n_max)
+        chunks.append(table.copy())
+        return table
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sweep built a table with the generator")
+
+    monkeypatch.setattr(oracles, "_QUAD_CHUNK_CELLS", 2**10)
+    monkeypatch.setattr(oracles, "_weighted_table", kept)
+    monkeypatch.setattr(oracles, "shifted_legendre_table", unreachable)
+    oracles._quad_gram(40, None)
+    monkeypatch.undo()
+    assert [chunk.shape[1] for chunk in chunks] == [24] * 35 + [21]
+    y, s = oracles._quad_kernel(80)
+    whole = build(y, s, 40)
+    assert np.array_equal(np.concatenate(chunks, axis=1), whole)
+    _assert_within_reference_table(whole, y, s)
 
 
 @settings(max_examples=200, deadline=None)
@@ -664,6 +717,7 @@ def test_oracles_are_structurally_independent():
         quad_entry_oracle,
         shifted_legendre_table,
         oracles._quad_kernel,
+        oracles._weighted_table,
         oracles._quad_gram,
         oracles._exact_sums,
     ):
