@@ -106,12 +106,10 @@ def _cmd_gram(args) -> tuple[str, int]:
     build = exactmoments.gram_exact if args.exact else exactmoments.gram_float
     gram = build(args.size, max_order=args.max_order_cap)
     # Both builders are exactly symmetric (the tests pin it), so only the lower
-    # triangle is formatted; row n's upper part is column n of that triangle.
-    # The lower triangle, row by row, is texts[codes].
+    # triangle is formatted, row by row into flat; row n's upper part is
+    # column n of that triangle.
     if args.exact:
-        texts = [_json_cell(p) for n, row in enumerate(gram.entries) for p in row[: n + 1]]
-        texts = np.array(texts, dtype=object)
-        codes = np.arange(texts.size)
+        flat = [_json_cell(p) for n, row in enumerate(gram.entries) for p in row[: n + 1]]
     else:
         # |N[n, m]| = 1/(t_n - t_m) with t_k = k(k+1) repeats, so each distinct
         # magnitude is written once with float.__repr__ (json's float text) and
@@ -120,14 +118,9 @@ def _cmd_gram(args) -> tuple[str, int]:
         magnitudes, index = np.unique(np.abs(cells), return_inverse=True)
         texts = list(map(float.__repr__, magnitudes.tolist()))
         texts = np.array(texts + ["-" + text for text in texts], dtype=object)
-        codes = index + magnitudes.size * np.signbit(cells)
+        flat = texts[index + magnitudes.size * np.signbit(cells)].tolist()
     if args.format == "plain":
-        # each text printed is right-aligned once, to the widest text printed
-        shown = np.zeros(texts.size, dtype=bool)
-        shown[codes] = True
-        printed = texts[shown].tolist()
-        texts[shown] = list(map(str.rjust, printed, itertools.repeat(max(map(len, printed)))))
-    flat = texts[codes].tolist()
+        flat = list(map(str.rjust, flat, itertools.repeat(max(map(len, flat)))))
     lower = [flat[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2] for n in range(gram.order + 1)]
     columns = itertools.zip_longest(*lower)
     cells = [row + list(column[n + 1 :]) for n, (row, column) in enumerate(zip(lower, columns))]
@@ -196,16 +189,18 @@ def _cmd_expand_log(args) -> tuple[str, int]:
 
 
 def _read_coeff_file(path):
-    """Parse a coefficient file: one value per line, '#' comments ignored.
+    """Parse a UTF-8 coefficient file: one value per line, '#' comments ignored.
 
     Returns (values, is_exact).  Integer and "p/q" lines, signed, with no
     space or underscore, are exact: ``Fraction`` reads that grammar the
     same on every Python, where it widens its own from version to version.
     Any other line is read by ``float`` as a finite decimal, which makes
     the file floating.  A file mixing fractions with decimals is rejected.
+    A leading UTF-8 byte-order mark is skipped; one anywhere else is part
+    of its line.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc

@@ -193,11 +193,7 @@ def shifted_legendre_table(x: np.ndarray, n_max: int) -> np.ndarray:
     ``x`` of any shape is read as its flattened values, one column each.
     """
     n_max = check_order(n_max, name="n_max")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    table = np.empty((n_max + 1, x.size))
-    for row, values in zip(table, recurrence_sweep(n_max, x)):
-        row[:] = values
-    return table
+    return np.array(list(recurrence_sweep(n_max, np.asarray(x, dtype=np.float64).ravel())))
 
 
 def _quad_kernel(span: int, rule: QuadratureRule | None = None):

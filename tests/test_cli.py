@@ -124,13 +124,13 @@ def _per_cell_gram_text(gram, fmt):
 @pytest.mark.parametrize(
     "size, exact",
     [(size, False) for size in (0, 1, 2, 7, 64, 192, 300)]
-    + [(size, True) for size in (0, 1, 2, 7, 64)],
+    + [(size, True) for size in (0, 1, 2, 7, 64, 256, 300)],
 )
 def test_gram_output_matches_per_cell_reference(run_cli, tmp_path, size, exact):
     build = exactmoments.gram_exact if exact else exactmoments.gram_float
     flags = ["--exact"] if exact else []
     cap = {}
-    if size > exactmoments.MAX_ORDER:  # past the store: a fresh _float_values build
+    if size > exactmoments.MAX_ORDER:  # past the stores: fresh _float_values or _grown rows
         flags, cap = flags + ["--max-order-cap", str(size)], {"max_order": size}
     for fmt in ("plain", "csv", "json"):
         expected = _per_cell_gram_text(build(size, **cap), fmt)
@@ -619,6 +619,31 @@ def test_bilinear_file_not_utf8_names_the_file(run_cli, tmp_path):
         code, out, err = run_cli("bilinear", a, b)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
+
+
+def test_bilinear_file_with_a_leading_byte_order_mark_reads_as_without(run_cli, tmp_path):
+    other = _write(tmp_path / "other.txt", "1/3\n-2\n")
+    for kind, text in (("exact", "# a\n1/2\n\n-3\n"), ("float", "0.25\n# b\n-1e-3\n2\n")):
+        plain = _write(tmp_path / f"{kind}.txt", text)
+        marked = tmp_path / f"{kind}-bom.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        for fmt in ("plain", "csv", "json"):
+            for pair in ((plain, other), (other, plain), (plain, plain)):
+                want = run_cli("bilinear", *pair, "--format", fmt)
+                marked_pair = [str(marked) if path == plain else path for path in pair]
+                assert run_cli("bilinear", *marked_pair, "--format", fmt) == want
+                assert want[0] == 0 and want[2] == ""
+    # the mark is skipped, nothing more: a file of the mark and a comment holds
+    # no values, and a mark that starts a later line is refused
+    only = tmp_path / "only.txt"
+    only.write_bytes(b"\xef\xbb\xbf# only a comment\n")
+    code, out, err = run_cli("bilinear", str(only), other)
+    assert (code, out, err) == (1, "", f"error: {only}: no coefficient values found\n")
+    late = tmp_path / "late.txt"
+    late.write_bytes(b"1\n\xef\xbb\xbf2\n")
+    code, out, err = run_cli("bilinear", str(late), other)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {late}:2: unparseable value")
 
 
 def test_bilinear_file_without_values_names_the_file(run_cli, tmp_path):
