@@ -62,11 +62,11 @@ def bilinear_log_form(a, b, gram: GramMatrix):
     reads: its last bits may move, within (len(a)+len(b)) eps sum |a_n b_m N_nm|.
     There each coefficient is read as a C double, so one that is not a
     real number (None, a string, a sequence such as a matrix row) or is
-    beyond the double range is refused with ValueError, and so is, by its
-    type and before any is read, a complex value, numpy's included, even
-    with imaginary part 0, or a numpy array of any shape among the
-    coefficients.  No process-wide state is touched, so other threads run
-    as they would alone.
+    too large to convert to a double is refused with ValueError, and so
+    is, by its type and before any is read, a complex value, numpy's
+    included, even with imaginary part 0, or a numpy array of any shape
+    among the coefficients.  No process-wide state is touched, so other
+    threads run as they would alone.
     """
     a = list(a)
     b = list(b)
@@ -135,9 +135,5 @@ def expansion_l2_error(order: int) -> ExpansionReport:
     1/(order+1)**2.  The test suite cross-checks this against a graded
     quadrature of the residual.
     """
-    order = check_order(order, MAX_EXPANSION_ORDER, name="order")
-    return ExpansionReport(
-        order=order,
-        coefficients=log_expansion_coeffs(order),
-        l2_error=1 / (order + 1),
-    )
+    coefficients = log_expansion_coeffs(order)  # validates order
+    return ExpansionReport(len(coefficients) - 1, coefficients, 1 / len(coefficients))

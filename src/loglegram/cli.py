@@ -5,8 +5,9 @@ stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage or input
 error, 2 verification failure, 3 numerical failure (a non-finite value
 to print, in any format, ``verify``'s error columns and worst values
 included).  Every value printed passes ``_json_cell``, which refuses a
-non-finite one, or, in an array, ``_finite``, which refuses the array's
-first non-finite value through it before any of the array is formatted.
+non-finite one with ``FloatingPointError``, or comes from an array that
+passed ``_finite``, which refuses the array's first non-finite value
+through it before any of the array is formatted.
 
 Integer arguments are parsed with ``int`` only; the ``check_order`` call
 that starts the library function a command reaches range-checks each one,
@@ -46,10 +47,6 @@ EXIT_NUMERICAL = 3
 __all__ = ["main"]
 
 
-class _NumericalError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad input; remap to the exit-code
     # contract (1) by raising instead.
@@ -66,7 +63,7 @@ def _json_cell(value):
             return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
     value = float(value)
     if not math.isfinite(value):
-        raise _NumericalError(f"non-finite value {value!r} cannot be serialized")
+        raise FloatingPointError(f"non-finite value {value!r} cannot be serialized")
     return value
 
 
@@ -75,7 +72,7 @@ def _finite(values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     finite = np.isfinite(values)
     if not finite.all():
-        _json_cell(values[~finite][0])  # raises _NumericalError
+        _json_cell(values[~finite][0])  # raises FloatingPointError
     return values
 
 
@@ -154,7 +151,7 @@ def _cmd_verify(args) -> tuple[str, int]:
             "ok": report.passed,
             "failures": [[c.n, c.m] for c in report.failures],
         }
-        payload.update({f"worst_{name}": _json_cell(value) for name, value in report.worst.items()})
+        payload.update({f"worst_{name}": value for name, value in report.worst.items()})
         return _dump_json(payload), code
     if args.format == "csv":
         # one line per pair, read straight from the report's arrays
@@ -234,14 +231,14 @@ def _cmd_bilinear(args) -> tuple[str, int]:
 
     a, a_exact = _read_coeff_file(args.a_file)
     b, b_exact = _read_coeff_file(args.b_file)
-    size = max(len(a), len(b)) - 1
-    if a_exact and b_exact:
-        gram = exactmoments.gram_exact(size, max_order=args.max_order_cap)
-    else:
+    if not (a_exact and b_exact):
         for path, values in ((args.a_file, a), (args.b_file, b)):
-            if max(map(abs, values)) > sys.float_info.max:
-                raise ValueError(f"{path}: value beyond the double range in a float form")
-        gram = exactmoments.gram_float(size, max_order=args.max_order_cap)
+            try:  # bilinear_log_form's own bound, checked here to name the file
+                float(max(map(abs, values)))
+            except OverflowError:
+                raise ValueError(f"{path}: value beyond the double range in a float form") from None
+    build = exactmoments.gram_exact if a_exact and b_exact else exactmoments.gram_float
+    gram = build(max(len(a), len(b)) - 1, max_order=args.max_order_cap)
     return _one_value(args.format, analysis.bilinear_log_form(a, b, gram))
 
 
@@ -347,7 +344,7 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ValueError(f"cannot write {out}: {exc}") from exc
             return code
-    except _NumericalError as exc:
+    except FloatingPointError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

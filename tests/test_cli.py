@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loglegram
-from loglegram import cli, exactmoments, oracles
+from loglegram import analysis, cli, exactmoments, oracles
 from loglegram.exactmoments import GramMatrix
 
 
@@ -521,13 +521,23 @@ def test_bilinear_integer_beyond_double_range_is_input_error(run_cli, tmp_path):
     mixed = _write(tmp_path / "mixed.txt", ones + "0.5\n")
     integers = _write(tmp_path / "integers.txt", ones + "2\n")
     decimals = _write(tmp_path / "decimals.txt", "0.25\n")
+    # the smallest integer that float() refuses: the largest double plus half its ulp
+    rounds_up = _write(tmp_path / "rounds_up.txt", f"{2**1024 - 2**970}\n")
     # the oversized integer makes its own file float, or the other file does
     cases = ((mixed, decimals, mixed), (integers, decimals, integers), (decimals, integers, integers))
+    cases += ((rounds_up, decimals, rounds_up), (decimals, rounds_up, rounds_up))
     for a, b, culprit in cases:
         for fmt in ("plain", "csv", "json"):
             code, out, err = run_cli("bilinear", a, b, "--format", fmt)
             assert (code, out) == (1, "")
             assert err.startswith(f"error: {culprit}: ") and err.count("\n") == 1
+    # the CLI refuses at the bound bilinear_log_form reads with: past the
+    # largest double, an integer that rounds down to it is taken
+    for value in (int(sys.float_info.max) + 1, 2**1024 - 2**970 - 1):
+        big = _write(tmp_path / "big.txt", f"{value}\n")
+        form = analysis.bilinear_log_form([Fraction(value)], [0.5], exactmoments.gram_float(0))
+        code, out, err = run_cli("bilinear", big, _write(tmp_path / "half.txt", "0.5\n"))
+        assert (code, out, err) == (0, f"{form!r}\n", "")
     # on its own the integer file is an exact form
     code, out, _ = run_cli("bilinear", integers, integers, "--format", "json")
     assert code == 0 and json.loads(out)["mode"] == "exact"

@@ -1,5 +1,6 @@
 import ast
 import copy
+import dataclasses
 import importlib
 import inspect
 import math
@@ -329,16 +330,21 @@ def test_copies_of_a_rule_are_accepted(duplicate):
 
 
 def test_a_rule_is_read_only_for_its_degree():
-    # a deep copy owns writable arrays; overwriting them changes no result
+    # a deep copy owns writable arrays; overwriting them changes no result,
+    # and neither does replacing them, since replace() keeps the Gauss marker
     rule = gauss_legendre_rule(16)
-    twin = copy.deepcopy(rule)
-    twin.nodes[:] = 0.0
-    twin.weights[:] = 1.0
+    overwritten = copy.deepcopy(rule)
+    overwritten.nodes[:] = 0.0
+    overwritten.weights[:] = 1.0
+    replaced = dataclasses.replace(rule, nodes=np.zeros(16), weights=np.ones(16))
     expected = verify_range(15, "quad", rule=rule)
-    report = verify_range(15, "quad", rule=twin)
-    assert report.passed and report.num_pairs == 136
-    assert np.array_equal(report.errors["abs"], expected.errors["abs"])
-    assert quad_entry_oracle(20, 11, twin) == quad_entry_oracle(20, 11, rule)
+    for twin in (overwritten, replaced):
+        report = verify_range(15, "quad", rule=twin)
+        assert report.passed and report.num_pairs == 136
+        for name, errors in expected.errors.items():
+            assert report.errors[name].tobytes() == errors.tobytes()
+        assert np.array_equal(report.pair_passed, expected.pair_passed)
+        assert quad_entry_oracle(20, 11, twin) == quad_entry_oracle(20, 11, rule)
 
 
 def test_quad_gram_in_node_chunks_is_the_one_chunk_gram(monkeypatch):
